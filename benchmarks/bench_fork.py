@@ -1,4 +1,4 @@
-"""The fork benchmark: bytes-snapshots vs the deep-copy reference.
+"""The fork benchmark: codec snapshots vs the deep-copy reference.
 
 Micro level: the raw snapshot / fingerprint / restore cycle — the inner
 loop of ``RC(C, α)`` — timed in both snapshot modes on a protocol with
@@ -23,7 +23,7 @@ from repro.core.setup import prepare_theorem_system
 from repro.sim.executor import use_snapshot_mode
 from repro.sim.scheduler import RoundRobinScheduler
 
-MODES = ("bytes", "deepcopy")
+MODES = ("codec", "deepcopy")
 
 #: the same workloads as the bench_smoke baselines
 MACRO_CONFIGS = [
@@ -55,7 +55,7 @@ def _micro_cycle(sim, cycles: int) -> dict:
     t0 = time.perf_counter()
     for _ in range(cycles):
         snap = sim.snapshot()
-        sim.fingerprint(snap)
+        sim.fingerprint()
         sim.restore(snap)
     cycle_s = (time.perf_counter() - t0) / cycles
     snap = sim.snapshot()
@@ -82,17 +82,17 @@ def test_fork_micro(benchmark):
 
     once(benchmark, run)
     report["speedup_cycle"] = round(
-        report["deepcopy"]["cycle_us"] / report["bytes"]["cycle_us"], 2
+        report["deepcopy"]["cycle_us"] / report["codec"]["cycle_us"], 2
     )
-    # the blob fork copies no bytes; the deep-copy fork copies everything
-    assert report["bytes"]["fork_us"] < report["deepcopy"]["fork_us"]
+    # the codec fork copies no bytes; the deep-copy fork copies everything
+    assert report["codec"]["fork_us"] < report["deepcopy"]["fork_us"]
     assert report["speedup_cycle"] > 1.0
     save_json("BENCH_fork", report)
     benchmark.extra_info.update(report)
 
 
 def test_explore_modes_identical_and_faster(benchmark):
-    """The acceptance gate for the bytes-snapshot rework.
+    """The acceptance gate for the encoded-snapshot path.
 
     Identical exploration results in both modes on both bench_explore
     workloads, with the fast path at least 2x faster in-process (the
@@ -123,7 +123,7 @@ def test_explore_modes_identical_and_faster(benchmark):
 
     once(benchmark, run)
     for entry in report["configs"]:
-        fast, ref = entry["modes"]["bytes"], entry["modes"]["deepcopy"]
+        fast, ref = entry["modes"]["codec"], entry["modes"]["deepcopy"]
         for key in ("states_visited", "schedules_completed", "violations"):
             assert fast[key] == ref[key], (entry["protocol"], key)
         entry["identical"] = True
@@ -133,9 +133,9 @@ def test_explore_modes_identical_and_faster(benchmark):
     rows = [
         [
             e["protocol"],
-            e["modes"]["bytes"]["states_visited"],
+            e["modes"]["codec"]["states_visited"],
             e["modes"]["deepcopy"]["seconds"],
-            e["modes"]["bytes"]["seconds"],
+            e["modes"]["codec"]["seconds"],
             f'{e["speedup"]}x',
         ]
         for e in report["configs"]
@@ -145,8 +145,8 @@ def test_explore_modes_identical_and_faster(benchmark):
     save_result(
         "fork_speedup",
         format_table(
-            ["protocol", "states", "deepcopy s", "bytes s", "speedup"],
+            ["protocol", "states", "deepcopy s", "codec s", "speedup"],
             rows,
-            title="Bytes-snapshot forking vs deep-copy reference (identical searches)",
+            title="Codec-snapshot forking vs deep-copy reference (identical searches)",
         ),
     )

@@ -1,8 +1,8 @@
 """A one-minute perf-regression smoke for the state-space engines.
 
 Runs canonical model-checker workloads across the engine's knobs
-(strategy, partial-order reduction, parallel workers) on the fast
-(bytes) snapshot path and checks the exploration *counts* against the
+(strategy, partial-order reduction, parallel workers) on the production
+(codec) snapshot path and checks the exploration *counts* against the
 committed baseline: the state partition is a pure function of protocol
 state values (strict fingerprints) or of their trace-canonical quotient
 (POR fingerprints), so ``states_visited`` / ``states_deduped`` /
@@ -82,13 +82,13 @@ def fork_machinery_smoke() -> bool:
     for _ in range(6):
         sched.tick(sim, pids=(tsys.cw,) + tuple(tsys.servers))
     snap = sim.snapshot()
-    fp = sim.fingerprint(snap)
+    fp = sim.fingerprint()
     fork = snap.fork()  # O(1) fork: shares the per-component captures
-    ok = fork.proc_blobs is snap.proc_blobs and fork.net_state is snap.net_state
-    snap2 = sim.snapshot()  # unchanged state: every sub-blob is cached
+    ok = fork.procs is snap.procs and fork.net_state is snap.net_state
+    snap2 = sim.snapshot()  # unchanged state: every cell tuple is cached
     ok &= all(
-        b2 is b1
-        for (_, b1), (_, b2) in zip(snap.proc_blobs, snap2.proc_blobs)
+        c2 is c1
+        for (_, _, c1), (_, _, c2) in zip(snap.procs, snap2.procs)
     )
     ok &= snap2.net_state is snap.net_state
     ok &= sim.counters.bytes_reused > 0
@@ -100,53 +100,14 @@ def fork_machinery_smoke() -> bool:
     return ok
 
 
-def delta_blob_identity_smoke() -> bool:
-    """The delta snapshot path against the monolithic blob path.
+def oracle_identity_smoke() -> bool:
+    """The production snapshot path against the deep-copy oracle.
 
-    Same search under ``snapshot_mode="bytes"`` and ``"blob"``: the
+    Same search under ``snapshot_mode="codec"`` and ``"deepcopy"``: the
     state partition (fingerprints) must be identical, so every count,
     every violating schedule and the anomaly union must match exactly.
-    ``benchmarks/bench_delta.py`` runs the same comparison at full scope
-    with the ≥ 5x traffic gate; this is the one-second version.
-    """
-    from repro.sim.executor import use_snapshot_mode
-
-    kwargs = dict(
-        max_depth=30, max_states=60_000, por=True,
-        first_violation_only=False,
-    )
-    runs = {}
-    for mode in ("bytes", "blob"):
-        with use_snapshot_mode(mode):
-            r = explore_write_read_race("fastclaim", **kwargs)
-        runs[mode] = dict(
-            states_visited=r.states_visited,
-            states_deduped=r.states_deduped,
-            schedules_completed=r.schedules_completed,
-            schedules=sorted(tuple(s) for s, _ in r.violations),
-            anomalies=sorted(
-                {str(a) for _, anomalies in r.violations for a in anomalies}
-            ),
-        )
-    ok = runs["bytes"] == runs["blob"]
-    print(
-        ("ok  " if ok else "FAIL")
-        + f" delta==blob identity: {runs['bytes']['states_visited']} states, "
-        f"{len(runs['bytes']['schedules'])} violating schedules"
-    )
-    if not ok:
-        print(f"     bytes: {runs['bytes']}\n     blob:  {runs['blob']}")
-    return ok
-
-
-def codec_identity_smoke() -> bool:
-    """The schema-codec snapshot path against the delta-bytes path.
-
-    Same search under ``snapshot_mode="codec"`` and ``"bytes"`` with
-    zero codec fallbacks: every protocol schema is complete and the
-    typed cells + Merkle fingerprints reproduce the partition exactly.
     ``benchmarks/bench_codec.py`` runs the full-scope version with the
-    traffic/wall/O(delta) gates; this is the one-second version.
+    traffic and O(delta) gates; this is the few-second version.
     """
     from repro.sim.executor import use_snapshot_mode
 
@@ -155,12 +116,9 @@ def codec_identity_smoke() -> bool:
         first_violation_only=False,
     )
     runs = {}
-    fallbacks = 0
-    for mode in ("bytes", "codec"):
+    for mode in ("codec", "deepcopy"):
         with use_snapshot_mode(mode):
             r = explore_write_read_race("fastclaim", **kwargs)
-        if mode == "codec":
-            fallbacks = r.counters.codec_fallbacks
         runs[mode] = dict(
             states_visited=r.states_visited,
             states_deduped=r.states_deduped,
@@ -170,14 +128,14 @@ def codec_identity_smoke() -> bool:
                 {str(a) for _, anomalies in r.violations for a in anomalies}
             ),
         )
-    ok = runs["bytes"] == runs["codec"] and fallbacks == 0
+    ok = runs["codec"] == runs["deepcopy"]
     print(
         ("ok  " if ok else "FAIL")
-        + f" codec==bytes identity: {runs['codec']['states_visited']} states, "
-        f"{fallbacks} fallbacks"
+        + f" production==deepcopy identity: {runs['codec']['states_visited']} "
+        f"states, {len(runs['codec']['schedules'])} violating schedules"
     )
     if not ok:
-        print(f"     bytes: {runs['bytes']}\n     codec: {runs['codec']}")
+        print(f"     codec:    {runs['codec']}\n     deepcopy: {runs['deepcopy']}")
     return ok
 
 
@@ -227,8 +185,7 @@ EXPECT_CHECKS = 5_395
 def main() -> int:
     failures = 0
     failures += not fork_machinery_smoke()
-    failures += not delta_blob_identity_smoke()
-    failures += not codec_identity_smoke()
+    failures += not oracle_identity_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

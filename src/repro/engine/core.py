@@ -353,7 +353,7 @@ class SerialSearch:
         self._checker.rollback(token[0])
         self._consumed = token[1]
 
-    def _fingerprint(self, snap: Configuration) -> bytes:
+    def _fingerprint(self) -> bytes:
         """The seen-set key for the current configuration.
 
         POR keys on the trace-canonical fingerprint so commuting
@@ -363,9 +363,7 @@ class SerialSearch:
         protocols), where canonical keying keeps the cross-worker
         claimed quotient deterministic.
         """
-        return self.sim.fingerprint(
-            snap, canonical=self.por or self.canonical_keys
-        )
+        return self.sim.fingerprint(canonical=self.por or self.canonical_keys)
 
     # -- seen-set ---------------------------------------------------------
 
@@ -522,10 +520,10 @@ class SerialSearch:
             return  # stuck without finishing: not a legal maximal run
         # one snapshot per node: every child branch mutates the live sim
         # and restores from this same (immutable) snapshot afterwards;
-        # fingerprinting right after attaches the per-process dumps so
-        # each child restore re-primes the fingerprint cache.
+        # fingerprinting right after reuses the captures the snapshot
+        # just cached.
         snap = self.sim.snapshot()
-        fp = self._fingerprint(snap)
+        fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1
             return
@@ -637,7 +635,7 @@ class SerialSearch:
                 self._check_leaf()
             return
         snap = self.sim.snapshot()
-        fp = self._fingerprint(snap)
+        fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1
             return
@@ -700,7 +698,7 @@ class SerialSearch:
         r = self.result
         sim = self.sim
         snap = sim.snapshot()
-        fp = self._fingerprint(snap)
+        fp = self._fingerprint()
         self._remember(fp, sleep)
         frontier = deque(
             [SearchNode(snap, fp, tuple(self._trail), depth, sleep)]
@@ -732,7 +730,7 @@ class SerialSearch:
                 child_sleep = self._child_sleep(node.sleep, prior, e)
                 e.apply(sim)
                 child_snap = sim.snapshot()
-                child_fp = self._fingerprint(child_snap)
+                child_fp = self._fingerprint()
                 if self._covered(child_fp, child_sleep) or self._shared_covered(
                     child_fp, child_sleep
                 ):

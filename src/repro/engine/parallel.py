@@ -1,9 +1,9 @@
 """The work-stealing parallel frontier with a shared canonical seen-set.
 
-Parallelising the explorer is only possible because of two PR-1
+Parallelising the explorer is only possible because of two
 invariants: configuration snapshots are *self-contained* (a worker
 re-materializes a private simulation from the shipped snapshot alone —
-after PR 5 they are cheap per-component delta blobs, which is what makes
+they are cheap per-component cell tuples, which is what makes
 shipping subtree roots mid-run affordable) and fingerprints are
 *hash-seed-independent* (every worker computes the same 16 bytes for the
 same configuration, so one cross-process seen-set is meaningful).
@@ -87,7 +87,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.core import ExplorationResult, SerialSearch, resolve_checker
 from repro.engine.seenset import make_seen_set
-from repro.sim.executor import SimCounters, Simulation
+from repro.sim.executor import Configuration, SimCounters, Simulation
 
 #: target number of subtree roots per worker for the *initial* seeding
 #: (stealing rebalances later, so this only needs to cover start-up)
@@ -739,7 +739,7 @@ def sweep_order(signatures: Sequence[Tuple]) -> List[int]:
 
     ``signatures[i]`` is root *i*'s component signature — one opaque
     token per component (in practice the identity of each per-process
-    sub-blob plus the network capture).  A delta restore reloads exactly
+    cell tuple plus the network capture).  A delta restore reloads exactly
     the components whose token differs from the live one, so the cost of
     fingerprinting all roots is the sum of *adjacent differences* along
     the sweep.  Greedy nearest-neighbour: start at root 0 (the live sim
@@ -768,11 +768,17 @@ def sweep_order(signatures: Sequence[Tuple]) -> List[int]:
 
 
 def _snapshot_signature(snapshot) -> Tuple:
-    """Identity tokens of a delta snapshot's components (for sweep_order)."""
-    blobs = getattr(snapshot, "proc_blobs", None)
-    if blobs is None:  # blob/deepcopy snapshots share nothing component-wise
-        return (id(snapshot),)
-    return tuple(id(b) for _, b in blobs) + (id(snapshot.net_state),)
+    """Identity tokens of a snapshot's components (for sweep_order).
+
+    One token per process cell tuple plus one for the network capture:
+    snapshots share a component's capture by reference exactly when the
+    component did not change between them.
+    """
+    if not isinstance(snapshot, Configuration):
+        return (id(snapshot),)  # deepcopy snapshots share nothing
+    return tuple(id(cells) for _, _, cells in snapshot.procs) + (
+        id(snapshot.net_state),
+    )
 
 
 def _dedup_roots(
@@ -789,7 +795,7 @@ def _dedup_roots(
     ``por_safe=False`` protocols) the canonical print is recomputed per
     root.  The recompute batch
     runs as a single restore sweep in :func:`sweep_order` — roots whose
-    delta snapshots share component sub-blobs restore consecutively, so
+    snapshots share component captures restore consecutively, so
     each hop reloads (and re-fingerprints) only the components that
     actually differ, instead of paying a full restore per root in list
     order.  The keep/drop decision then replays in the *original*
@@ -809,7 +815,7 @@ def _dedup_roots(
         for i in order:
             node = roots[i]
             sim.restore(node.snapshot)
-            fps[i] = sim.fingerprint(node.snapshot, canonical=True)
+            fps[i] = sim.fingerprint(canonical=True)
     kept: List = []
     seen: Dict[bytes, List] = {}
     for i, node in enumerate(roots):

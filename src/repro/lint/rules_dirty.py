@@ -42,16 +42,16 @@ with cross-module summaries (:mod:`repro.lint.summaries`).
 ``RL504``
     A dirty-tracked class whose MRO declares a ``codec_schema`` assigns
     a ``self.<attr>`` that no class in the MRO declares.  The schema
-    codec (``snapshot_mode="codec"``) builds its per-component ledger
-    from the declared fields at construction time; an undeclared state
-    field makes the ledger reject the component and every snapshot of
-    it silently pays the O(process) pickled-blob fallback — correct,
-    but exactly the cost the schema exists to avoid, and invisible
-    until someone reads the ``codec_fallbacks`` counter.  Fields a
-    custom ``__getstate__`` pops are exempt (they are not snapshot
-    state), as is ``_version``.  Classes with no ``codec_schema``
-    anywhere in their MRO are skipped: the blob fallback is the
-    *declared* representation there, not an accident.
+    codec — the only production snapshot path — builds its
+    per-component ledger from the declared fields; an undeclared state
+    field makes the first snapshot of the component raise
+    ``CodecError``, since there is no fallback serialization that could
+    carry the field.  The rule catches that before anything runs.
+    Fields a custom ``__getstate__`` pops are exempt (they are not
+    snapshot state), as is ``_version``.  Classes with no
+    ``codec_schema`` anywhere in their MRO are skipped: they are not
+    codec components (the ``Network`` is captured structurally, and
+    every ``Process`` inherits the base schema).
 """
 
 from __future__ import annotations
@@ -266,9 +266,8 @@ class CodecSchemaRule(Rule):
                             self.code,
                             f"{c.name}.{mname} assigns self.{attr} but no "
                             f"codec_schema in {ci.name}'s MRO declares it — "
-                            "the schema codec rejects the component and "
-                            "every snapshot pays the O(process) blob "
-                            "fallback",
+                            "the schema codec rejects the component "
+                            "(CodecError at its first snapshot)",
                         )
 
     @staticmethod

@@ -61,10 +61,16 @@ def pid_dc(pid: ProcessId) -> int:
 
 
 class PendingReplica:
-    """A replicated version awaiting its dependency checks."""
+    """A replicated version awaiting its dependency checks.
 
-    def __init__(self, version: Version, waiting: Set[ProcessId]):
-        self.version = version
+    Holds the version's ``(obj, ts)`` key, not the :class:`Version`: the
+    version lives in the server's ``store``, and a second reference from
+    another schema field would decode to a separate copy after a
+    snapshot restore.
+    """
+
+    def __init__(self, key: Tuple[ObjectId, Timestamp], waiting: Set[ProcessId]):
+        self.key = key
         self.waiting = waiting
 
 
@@ -170,7 +176,9 @@ class CopsGeoServer(ServerBase):
                         ),
                     )
             if waiting:
-                self.pending[version.txid] = PendingReplica(version, waiting)
+                self.pending[version.txid] = PendingReplica(
+                    (version.obj, version.ts), waiting
+                )
             else:
                 version.visible = True
                 self._release_blocked_checks(ctx, version.obj, version.ts)
@@ -205,10 +213,9 @@ class CopsGeoServer(ServerBase):
         pending.waiting.discard(source)
         if not pending.waiting:
             del self.pending[txid]
-            pending.version.visible = True
-            self._release_blocked_checks(
-                ctx, pending.version.obj, pending.version.ts
-            )
+            obj, ts = pending.key
+            self.find_version(obj, ts).visible = True
+            self._release_blocked_checks(ctx, obj, ts)
 
     def _release_blocked_checks(
         self, ctx: StepContext, obj: ObjectId, ts: Timestamp

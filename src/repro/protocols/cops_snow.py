@@ -49,10 +49,21 @@ from repro.txn.types import ObjectId, Transaction
 
 
 class PendingWrite:
-    """A write whose readers check is in flight."""
+    """A write whose readers check is in flight.
 
-    def __init__(self, version: Version, client: ProcessId, waiting: Set[ProcessId]):
-        self.version = version
+    Holds the version's ``(obj, ts)`` key, not the :class:`Version`: the
+    version lives in the server's ``store``, and a second reference from
+    another schema field would decode to a separate copy after a
+    snapshot restore.
+    """
+
+    def __init__(
+        self,
+        key: Tuple[ObjectId, Timestamp],
+        client: ProcessId,
+        waiting: Set[ProcessId],
+    ):
+        self.key = key
         self.client = client
         self.waiting = waiting
         self.old_readers: Set[str] = set()
@@ -116,7 +127,9 @@ class CopsSnowServer(ServerBase):
         if not remote:
             self._make_visible(ctx, version, msg.src, set())
             return
-        self.pending[req.txid] = PendingWrite(version, msg.src, set(remote))
+        self.pending[req.txid] = PendingWrite(
+            (version.obj, version.ts), msg.src, set(remote)
+        )
         for owner, dep_list in remote.items():
             self.queue_send(ctx, 
                 owner,
@@ -170,7 +183,9 @@ class CopsSnowServer(ServerBase):
             pw.waiting.discard(msg.src)
             if not pw.waiting:
                 del self.pending[txid]
-                self._make_visible(ctx, pw.version, pw.client, pw.old_readers)
+                self._make_visible(
+                    ctx, self.find_version(*pw.key), pw.client, pw.old_readers
+                )
         else:
             raise NotImplementedError(f"{self.pid}: server message {sm.kind}")
 

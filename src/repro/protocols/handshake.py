@@ -18,7 +18,7 @@ properties compatible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
@@ -28,6 +28,7 @@ from repro.protocols.base import (
     ReadRequest,
     ServerBase,
     ServerMsg,
+    Timestamp,
     ValueEntry,
     Version,
     WriteReply,
@@ -45,8 +46,13 @@ class HandshakeServer(ServerBase):
         super().__init__(pid, objects, peers, placement)
         self.sync_hops = sync_hops
         self.lamport = 0
-        #: txid -> (versions installed here, client, partner or None)
-        self.pending: Dict[str, Tuple[List[Version], ProcessId, ProcessId]] = {}
+        #: txid -> ((obj, ts) keys of the versions installed here,
+        #: client, ring).  Keys, not the Version objects: those live in
+        #: ``store``, and a second reference from another schema field
+        #: would decode to a separate copy after a snapshot restore.
+        self.pending: Dict[
+            str, Tuple[Tuple[Tuple[ObjectId, Timestamp], ...], ProcessId, Tuple]
+        ] = {}
 
     # -- reads: FastClaim-style, newest *visible* version ---------------------
 
@@ -86,7 +92,11 @@ class HandshakeServer(ServerBase):
                 WriteReply(txid=req.txid, kind="ack", meta={"ts": self.lamport}),
             )
             return
-        self.pending[req.txid] = (versions, msg.src, ring)
+        self.pending[req.txid] = (
+            tuple((v.obj, v.ts) for v in versions),
+            msg.src,
+            ring,
+        )
         if self.pid == ring[0]:
             # lowest-id participant launches the token around the ring
             self.queue_send(
@@ -98,9 +108,9 @@ class HandshakeServer(ServerBase):
             )
 
     def _finish(self, ctx: StepContext, txid: str) -> None:
-        versions, client, _partner = self.pending.pop(txid)
-        for v in versions:
-            v.visible = True
+        keys, client, _ring = self.pending.pop(txid)
+        for obj, ts in keys:
+            self.find_version(obj, ts).visible = True
         self.queue_send(
             ctx, client, WriteReply(txid=txid, kind="ack", meta={"ts": self.lamport})
         )

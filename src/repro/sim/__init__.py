@@ -26,7 +26,6 @@ from repro.sim.executor import (
     SNAPSHOT_MODES,
     Simulation,
     Configuration,
-    BlobConfiguration,
     DeepCopyConfiguration,
     SimCounters,
     use_snapshot_mode,
@@ -57,7 +56,6 @@ __all__ = [
     "SNAPSHOT_MODES",
     "Simulation",
     "Configuration",
-    "BlobConfiguration",
     "DeepCopyConfiguration",
     "SimCounters",
     "use_snapshot_mode",

@@ -48,11 +48,11 @@ every client field cost one dict probe per capture/restore.
 
 A component whose class declares no schema, whose schema does not cover
 its ``__getstate__`` keys, or whose state contains a value the codec
-cannot round-trip raises :class:`CodecError`; the executor then falls
-back to the pickled-blob path for that component (counted in
-``SimCounters.codec_fallbacks``) — correctness never depends on a
-schema being present, only the O(delta) costs do.  Lint rule RL504
-flags the missing/incomplete declarations statically.
+cannot round-trip raises :class:`CodecError` naming the class and the
+field; the executor adds the pid and lets it propagate.  There is no
+fallback path: the codec is the only production snapshot, so schema
+coverage is a correctness requirement.  Lint rule RL504 flags the
+missing/incomplete declarations statically.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ __all__ = [
 
 
 class CodecError(Exception):
-    """The codec cannot faithfully encode this component — fall back."""
+    """The codec cannot faithfully encode this component."""
 
 
 # -- schema declarations -----------------------------------------------------
@@ -879,25 +879,31 @@ class ComponentLedger:
         "dmemo",
         "_enc",
         "_dec",
+        "width",
     )
 
     def __init__(self, proc: Any):
         cls = type(proc)
         schema = collect_schema(cls)
-        if schema is None:
-            raise CodecError(f"{cls.__qualname__} declares no codec_schema")
         state = proc.__getstate__()
+        if schema is None:
+            raise CodecError(
+                f"{cls.__qualname__} declares no codec_schema "
+                f"(undeclared fields: {sorted(state)})"
+            )
         names = [f.name for f in schema]
         if len(set(names)) != len(names) or set(names) != set(state):
             missing = set(state) - set(names)
             extra = set(names) - set(state)
             raise CodecError(
                 f"{cls.__qualname__} schema does not match state "
-                f"(missing={sorted(missing)}, extra={sorted(extra)})"
+                f"(undeclared fields: {sorted(missing)}, "
+                f"declared but unset: {sorted(extra)})"
             )
         pid = getattr(proc, "pid", "")
         const_vals = [state[f.name] for f in schema if f.kind == CONST]
         self._init_core(cls, schema, pid, const_vals)
+        self.width = len(proc.__dict__)
         base_map = _class_statics_map(collect_statics(cls), pid)
         for i, f in enumerate(schema):
             if f.kind == CONST:
@@ -945,6 +951,12 @@ class ComponentLedger:
         self._enc = _Encoder(self.statics_map)
         self._dec = _Decoder(b"", self.statics_seq)
         self._dec.dmemo = self.dmemo
+        #: attribute count of the component this ledger mirrors
+        #: (schema fields plus bookkeeping such as ``_version``), set
+        #: once a live component is bound; a capture whose component
+        #: grew or lost an attribute refuses instead of silently
+        #: dropping the undeclared field
+        self.width: Optional[int] = None
 
     # -- encoding ----------------------------------------------------------
 
@@ -964,28 +976,44 @@ class ComponentLedger:
         schema = self.schema
         cells = self.cells
         enc = self._enc
-        for i, f in enumerate(schema):
-            kind = f.kind
-            if kind == CONST:
-                counters.cells_reused += 1
-                counters.bytes_reused += len(cells[i])  # type: ignore[arg-type]
-                continue
-            live = getattr(proc, f.name)
-            if kind == VALUE:
-                cell = enc.cell(live)
-                have = cells[i]
-                if have is not None and have == cell:
+        if len(proc.__dict__) != self.width:
+            names = {f.name for f in schema}
+            raise CodecError(
+                f"{self.cls.__qualname__} changed shape after construction "
+                f"(undeclared fields: "
+                f"{sorted(k for k in proc.__getstate__() if k not in names)}, "
+                f"missing fields: {sorted(names - set(proc.__dict__))})"
+            )
+        try:
+            for i, f in enumerate(schema):
+                kind = f.kind
+                if kind == CONST:
                     counters.cells_reused += 1
-                    counters.bytes_reused += len(have)
+                    counters.bytes_reused += len(cells[i])  # type: ignore[arg-type]
                     continue
-                counters.cells_encoded += 1
-                counters.bytes_serialized += len(cell)
-                cells[i] = cell
-                self.canon_cells[i] = None
-            elif kind == MAP:
-                self._capture_map(i, live, counters)
-            else:  # SEQ
-                self._capture_seq(i, live, counters)
+                live = getattr(proc, f.name)
+                if kind == VALUE:
+                    cell = enc.cell(live)
+                    have = cells[i]
+                    if have is not None and have == cell:
+                        counters.cells_reused += 1
+                        counters.bytes_reused += len(have)
+                        continue
+                    counters.cells_encoded += 1
+                    counters.bytes_serialized += len(cell)
+                    cells[i] = cell
+                    self.canon_cells[i] = None
+                elif kind == MAP:
+                    self._capture_map(i, live, counters)
+                else:  # SEQ
+                    self._capture_seq(i, live, counters)
+        except CodecError as exc:
+            # name the field: a partially refreshed cell cache is
+            # harmless, the next capture re-encodes and compares every
+            # field
+            raise CodecError(
+                f"{self.cls.__qualname__}.{f.name}: {exc}"
+            ) from exc
         return tuple(cells)  # type: ignore[arg-type]
 
     def _capture_map(self, i: int, live: Any, counters: Any) -> None:
@@ -1250,6 +1278,7 @@ class ComponentLedger:
                 state[f.name] = self.decode_field(i, cells[i])
         proc = object.__new__(self.cls)
         proc.__setstate__(state)
+        self.width = len(proc.__dict__)
         return proc
 
 

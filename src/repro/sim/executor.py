@@ -29,7 +29,6 @@ from repro.sim.codec import (
     CodecError,
     ComponentLedger,
     cells_digest,
-    collect_schema,
     ledger_from_cells,
 )
 from repro.sim.messages import Message, Payload, ProcessId
@@ -38,8 +37,8 @@ from repro.sim.process import Process, StepContext
 from repro.sim.replay import Command, DeliverCmd, InvokeCmd, ReplayError, StepCmd
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, Trace
 
-#: Snapshots are serialized at pickle protocol 5 (out-of-band-buffer era,
-#: the fastest framing available).
+#: The deep-copy oracle's fingerprint dumps and size reports pickle at
+#: protocol 5 (out-of-band-buffer era, the fastest framing available).
 PICKLE_PROTOCOL = 5
 
 
@@ -57,13 +56,13 @@ class SimCounters:
     fingerprints: int = 0       #: fingerprint() calls
     cache_hits: int = 0         #: component serializations reused
     cache_misses: int = 0       #: component serializations recomputed
-    bytes_serialized: int = 0   #: bytes actually pickled for snapshots
+    bytes_serialized: int = 0   #: fresh bytes encoded for snapshots
     bytes_reused: int = 0       #: snapshot bytes served from the dirty cache
-    bytes_restored: int = 0     #: bytes deserialized by restores
+    bytes_restored: int = 0     #: bytes decoded by restores
     restore_reuses: int = 0     #: restores that kept every live component
-    #: per-component accounting (delta snapshots): sub-blobs pickled by
-    #: snapshot(), sub-blobs deserialized by restore(), and live
-    #: components a delta restore() kept untouched because their bytes
+    #: per-component accounting (delta snapshots): components captured
+    #: by snapshot(), components decoded by restore(), and live
+    #: components a delta restore() kept untouched because their cells
     #: already matched the snapshot.
     components_serialized: int = 0
     components_restored: int = 0
@@ -79,13 +78,14 @@ class SimCounters:
     idle_waits: int = 0
     shared_seen_hits: int = 0
     shared_seen_inserts: int = 0
-    #: schema-codec accounting (snapshot_mode="codec"): Merkle subtree
-    #: leaves (field cells / map keys / seq elements) freshly encoded
-    #: vs reused from their shadow, and components that fell back to
-    #: the pickled-blob path because their class declares no (or an
-    #: incomplete) codec schema.  cells_encoded is the "re-hashed
-    #: subtrees" measure the codec benchmark gates on: after one event
-    #: it stays O(delta in the touched component), not O(process).
+    #: schema-codec accounting: Merkle subtree leaves (field cells /
+    #: map keys / seq elements) freshly encoded vs reused from their
+    #: shadow.  cells_encoded is the "re-hashed subtrees" measure the
+    #: codec benchmark gates on: after one event it stays O(delta in
+    #: the touched component), not O(process).  codec_fallbacks is
+    #: always 0 — a component the codec cannot encode raises
+    #: CodecError instead of falling back — and stays in the ledger so
+    #: run records keep their shape.
     cells_encoded: int = 0
     cells_reused: int = 0
     codec_fallbacks: int = 0
@@ -95,7 +95,7 @@ class SimCounters:
         pct = 100.0 * self.bytes_reused / total if total else 0.0
         return (
             f"{self.snapshots} snapshots "
-            f"({self.components_serialized} components pickled), "
+            f"({self.components_serialized} components captured), "
             f"{self.restores} restores "
             f"({self.components_restored} components loaded / "
             f"{self.components_reused} kept), "
@@ -213,180 +213,103 @@ def _net_build(state) -> Network:
 
 
 class Configuration:
-    """A component-granular delta snapshot of a configuration.
+    """An immutable, component-granular snapshot of a configuration.
 
-    One immutable pickle sub-blob per :class:`Process` plus one
+    One entry per :class:`Process` — a tuple of immutable **cells**, one
+    per declared schema field (see :mod:`repro.sim.codec`) — plus one
     structural capture of the :class:`Network`, each produced (and
     cached) against the component's ``_version`` dirty counter.
     Components that did not change between two snapshots share the
-    *same* object by reference, which is what makes
+    *same* cell tuple by reference, and inside a changed component every
+    untouched cell keeps its identity too.  That is what makes
     :meth:`Simulation.restore` a **delta apply**: a live component whose
-    cached capture *is* the snapshot's is provably in the snapshotted
-    state already and is kept as-is; only the components that actually
-    differ are re-materialized.  A DFS backtrack after a single ``Step``
-    therefore touches one process, not eleven.
+    cached capture *is* the snapshot's is kept as-is, and a component
+    that differs by one field decodes that field only.  The fingerprint
+    layer hashes the same cells Merkle-style instead of re-serializing
+    the state.
 
     The network's capture (:func:`_net_capture`) costs no serialization
     in either direction: its mutable state is message *placement*, and
     the placed messages are immutable once sent (lint rule RL404), so
     snapshots hold them by reference inside immutable tuples and
-    restores rebuild fresh containers around them.  The process
-    sub-blobs stay pickled bytes — process state is arbitrary mutable
-    protocol data, so only a byte-level copy isolates branches.
+    restores rebuild fresh containers around them.
 
-    Splitting the snapshot per component gives up the single pickle
-    memo of the old monolithic blob (kept as :class:`BlobConfiguration`,
-    ``snapshot_mode="blob"``): an object referenced from two processes
-    deserializes to two equal copies instead of one shared object.  That
-    is safe here because nothing in the system is sharing-sensitive —
-    messages are immutable, and fingerprints serialize by *value*
-    (identity-blind fast-mode pickle, :meth:`Simulation._dumps_canonical`),
-    so the state partition and every verdict are unchanged.
-    ``snapshot_mode="deepcopy"`` remains the bit-identical oracle.
+    Entries are ``(pid, clsref, cells)``; ``clsref``
+    ("module:qualname") lets a different process (a parallel worker)
+    rebuild the component ledger and decode the cells.
 
-    **Ownership rule (unchanged):** a Configuration may be restored any
-    number of times, and restoring must never hand out mutable state
-    aliased with the snapshot.  Sub-blobs are immutable bytes and the
-    network capture is immutable tuples over immutable messages; a
-    restored component is either a fresh materialization or a live
-    component whose capture already equals the snapshot's — mutating it
-    afterwards bumps its dirty counter, so later snapshots and restores
-    see the divergence.
+    **Ownership rule:** a Configuration may be restored any number of
+    times, and restoring must never hand out mutable state aliased with
+    the snapshot.  Everything held is immutable bytes and tuples over
+    immutable messages; a restored component is either decoded fresh or
+    a live component whose capture already equals the snapshot's —
+    mutating it afterwards bumps its dirty counter, so later snapshots
+    and restores see the divergence.  ``snapshot_mode="deepcopy"``
+    (:class:`DeepCopyConfiguration`) is the independent oracle.
 
     :meth:`fork` shares the (immutable) captures, so it stays O(1).
     """
 
-    __slots__ = (
-        "proc_blobs",
-        "net_state",
-        "msg_counter",
-        "event_count",
-        "fp_dumps",
-        "fp_dumps_canon",
-    )
+    __slots__ = ("procs", "net_state", "msg_counter", "event_count")
 
     def __init__(
         self,
-        proc_blobs: Tuple[Tuple[ProcessId, bytes], ...],
+        procs: Tuple[Tuple[ProcessId, str, Tuple[bytes, ...]], ...],
         net_state,
         msg_counter: int,
         event_count: int,
     ):
-        #: per-process sub-blobs, in the process map's insertion order
+        #: per-process entries, in the process map's insertion order
         #: (restore rebuilds the map in exactly this order)
-        self.proc_blobs = proc_blobs
+        self.procs = procs
         #: the network's structural capture (see :func:`_net_capture`)
         self.net_state = net_state
         self.msg_counter = msg_counter
         self.event_count = event_count
-        #: per-process fingerprint dumps for exactly this snapshot's
-        #: state, attached by :meth:`Simulation.fingerprint` so a later
-        #: restore can re-prime the fingerprint cache (restored branches
-        #: then only re-serialize the processes an event actually
-        #: touched).  The second slot holds the trace-canonical variant
-        #: (masked ``fp_state``), attached by ``fingerprint(canonical=True)``.
-        self.fp_dumps: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-        self.fp_dumps_canon: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-
-    def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
-        """Materialize a private (processes, network) pair.
-
-        Each call materializes afresh; mutating the result never touches
-        the snapshot (the network's containers are rebuilt, its messages
-        are shared but immutable).
-        """
-        return self.processes, self.network
 
     @property
     def processes(self) -> Dict[ProcessId, Process]:
-        """Materialize private copies of the snapshotted processes.
+        """Decode private copies of the snapshotted processes.
 
-        Decodes the process sub-blobs only (each property access is a
-        fresh, independent materialization of just its half).
+        Each property access is a fresh, independent materialization.
         """
-        return {pid: pickle.loads(blob) for pid, blob in self.proc_blobs}
+        return {
+            pid: ledger_from_cells(clsref, pid, cells).decode_component(cells)
+            for pid, clsref, cells in self.procs
+        }
 
     @property
     def network(self) -> Network:
-        """Materialize a private copy of the snapshotted network."""
+        """Rebuild a private copy of the snapshotted network."""
         return _net_build(self.net_state)
 
     def fork(self) -> "Configuration":
-        forked = Configuration(
-            proc_blobs=self.proc_blobs,  # immutable: share, don't copy
+        return Configuration(
+            procs=self.procs,  # immutable: share, don't copy
             net_state=self.net_state,
             msg_counter=self.msg_counter,
             event_count=self.event_count,
         )
-        forked.fp_dumps = self.fp_dumps  # immutable too: share, don't copy
-        forked.fp_dumps_canon = self.fp_dumps_canon
-        return forked
 
     def size_bytes(self) -> int:
-        """Serialized bytes held: the process sub-blobs.
+        """Encoded bytes held: the process cells.
 
         The network capture holds no serialized bytes at all (structural
         tuples over shared immutable messages), so it contributes zero.
         """
-        return sum(len(b) for _, b in self.proc_blobs)
-
-
-class BlobConfiguration:
-    """The monolithic single-blob snapshot (the pre-delta fast path).
-
-    One pickle blob holding the full process map *and* the network,
-    serialized together in a single pass, so the pickle memo spans the
-    whole configuration and cross-component object sharing survives a
-    restore.  Kept as ``snapshot_mode="blob"`` so the delta rework stays
-    measurable in-process (``benchmarks/bench_delta.py`` asserts the
-    ≥ 5x serialization-traffic drop against exactly this path) and as a
-    second reference implementation beside the deep-copy oracle.
-    """
-
-    __slots__ = ("blob", "msg_counter", "event_count", "fp_dumps", "fp_dumps_canon")
-
-    def __init__(self, blob: bytes, msg_counter: int, event_count: int):
-        self.blob = blob
-        self.msg_counter = msg_counter
-        self.event_count = event_count
-        self.fp_dumps: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-        self.fp_dumps_canon: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-
-    def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
-        """Deserialize a private (processes, network) pair."""
-        return pickle.loads(self.blob)
-
-    @property
-    def processes(self) -> Dict[ProcessId, Process]:
-        return self.materialize()[0]
-
-    @property
-    def network(self) -> Network:
-        return self.materialize()[1]
-
-    def fork(self) -> "BlobConfiguration":
-        forked = BlobConfiguration(
-            blob=self.blob,
-            msg_counter=self.msg_counter,
-            event_count=self.event_count,
-        )
-        forked.fp_dumps = self.fp_dumps
-        forked.fp_dumps_canon = self.fp_dumps_canon
-        return forked
-
-    def size_bytes(self) -> int:
-        return len(self.blob)
+        return sum(len(c) for _, _, cells in self.procs for c in cells)
 
 
 @dataclass
 class DeepCopyConfiguration:
     """The pre-optimization snapshot: deep copies of the live objects.
 
-    Kept as a reference implementation (``snapshot_mode="deepcopy"``) so
-    tests can pin the old contract and the fork benchmark can measure the
-    before/after of the bytes-snapshot rework in one process.  Restoring
-    one of these must fork first — the held objects would otherwise alias
-    live state after a restore.
+    Kept as the reference implementation (``snapshot_mode="deepcopy"``)
+    so tests can pin the old contract against the codec path, with
+    which it shares no code (no cells, no ledgers, no delta restores),
+    and the fork benchmark can measure both in one process.  Restoring
+    one of these must fork first — the held objects would otherwise
+    alias live state after a restore.
     """
 
     processes: Dict[ProcessId, Process]
@@ -415,92 +338,10 @@ class DeepCopyConfiguration:
         return self._size
 
 
-class CodecConfiguration:
-    """A schema-codec delta snapshot: per-field canonical cells.
-
-    Like :class:`Configuration` this is component-granular, but each
-    process entry is a tuple of immutable **cells** (one per declared
-    schema field, see :mod:`repro.sim.codec`) instead of one opaque
-    pickle blob.  That exposes the delta *inside* a component: a restore
-    whose target differs from the live state by one field decodes that
-    field only, and the fingerprint layer hashes the same cells
-    Merkle-style instead of re-serializing the state.  A component whose
-    class declares no usable schema ships as a pickled blob entry
-    (``cells`` slot ``None``) — the oracle-equivalence contract never
-    depends on schema coverage.
-
-    Entries are ``(pid, clsref, cells, blob)`` where exactly one of
-    ``cells``/``blob`` is set; ``clsref`` ("module:qualname") lets a
-    different process (parallel worker) rebuild the component ledger
-    and decode the cells.  The ownership rule matches
-    :class:`Configuration`: everything held is immutable bytes/tuples,
-    so restores never alias live state.
-    """
-
-    __slots__ = ("procs", "net_state", "msg_counter", "event_count")
-
-    def __init__(
-        self,
-        procs: Tuple[Tuple[ProcessId, Optional[str], Optional[Tuple[bytes, ...]], Optional[bytes]], ...],
-        net_state,
-        msg_counter: int,
-        event_count: int,
-    ):
-        self.procs = procs
-        self.net_state = net_state
-        self.msg_counter = msg_counter
-        self.event_count = event_count
-
-    def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
-        """Materialize a private (processes, network) pair."""
-        return self.processes, self.network
-
-    @property
-    def processes(self) -> Dict[ProcessId, Process]:
-        """Decode private copies of the snapshotted processes only.
-
-        Each property access is a fresh, independent materialization of
-        just its half — touching both halves via the properties costs
-        one decode each, not two full ``materialize()`` passes.
-        """
-        procs: Dict[ProcessId, Process] = {}
-        for pid, clsref, cells, blob in self.procs:
-            if cells is None:
-                procs[pid] = pickle.loads(blob)
-            else:
-                ledger = ledger_from_cells(clsref, pid, cells)
-                procs[pid] = ledger.decode_component(cells)
-        return procs
-
-    @property
-    def network(self) -> Network:
-        """Rebuild a private copy of the snapshotted network only."""
-        return _net_build(self.net_state)
-
-    def fork(self) -> "CodecConfiguration":
-        return CodecConfiguration(
-            procs=self.procs,  # immutable: share, don't copy
-            net_state=self.net_state,
-            msg_counter=self.msg_counter,
-            event_count=self.event_count,
-        )
-
-    def size_bytes(self) -> int:
-        total = 0
-        for _pid, _clsref, cells, blob in self.procs:
-            if cells is None:
-                total += len(blob)
-            else:
-                total += sum(len(c) for c in cells)
-        return total
-
-
-#: the four snapshot implementations: "bytes" (component-granular delta
-#: snapshots, the default), "codec" (schema-codec cells, field-granular
-#: deltas + Merkle fingerprints), "blob" (the monolithic single-blob
-#: fast path kept as the perf baseline), "deepcopy" (the reference
-#: oracle).
-SNAPSHOT_MODES = ("bytes", "codec", "blob", "deepcopy")
+#: the two snapshot implementations: "codec" (schema-codec cells,
+#: field-granular deltas + Merkle fingerprints; the production path)
+#: and "deepcopy" (the reference oracle).
+SNAPSHOT_MODES = ("codec", "deepcopy")
 
 
 @contextmanager
@@ -592,49 +433,39 @@ def _canonize(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
 
 
 class _CompRow:
-    """One component's dirty-tracked serializations, all in one place.
+    """One component's dirty-tracked captures, all in one place.
 
     A row is valid while the live component *is* ``obj`` at dirty
     version ``version``; every mutation of the component goes through
     an event (which bumps the counter), so validity is two identity/int
     comparisons.  The row carries every capture the snapshot and
     fingerprint machinery ever needs for that component — the restorable
-    snapshot capture plus the two value-canonical fingerprint dumps —
-    filled lazily, so no state is ever serialized twice for the same
-    (object, version) pair and a restore re-primes all three in one go.
+    snapshot capture plus the strict and canonical fingerprint leaves —
+    filled lazily, so no state is ever encoded twice for the same
+    (object, version) pair.
     """
 
-    __slots__ = ("obj", "version", "blob", "nbytes", "fp", "fp_canon")
+    __slots__ = ("obj", "version", "capture", "nbytes", "fp", "fp_canon")
 
     def __init__(self, obj: Any, version: int):
         self.obj = obj
         self.version = version
-        #: the restorable snapshot capture: ``pickle.dumps(obj)`` for a
-        #: process row, the structural :func:`_net_capture` tuple for
-        #: the network row
-        self.blob: Optional[Any] = None
-        #: total capture bytes (codec mode), summed once per capture so
-        #: cache hits don't re-walk the cell tuple
+        #: the restorable snapshot capture: the cell tuple for a process
+        #: row, the structural :func:`_net_capture` tuple for the
+        #: network row
+        self.capture: Optional[Any] = None
+        #: total cell bytes, summed once per capture so cache hits
+        #: don't re-walk the cell tuple
         self.nbytes: int = 0
-        self.fp: Optional[bytes] = None        #: canonical dump of __getstate__
-        self.fp_canon: Optional[bytes] = None  #: canonical dump of fp_state()
+        #: strict / canonical fingerprint leaf: the Merkle digest of
+        #: the cells (codec) or the canonical dump of ``__getstate__`` /
+        #: ``fp_state()`` (deepcopy oracle)
+        self.fp: Optional[bytes] = None
+        self.fp_canon: Optional[bytes] = None
 
 
 #: cache key for the network's component row (process rows key on pid)
 _NET = "\x00network"
-
-#: whether a class's MRO declares a ``codec_schema`` — a pure function
-#: of the class, memoized so schema-less components skip ledger
-#: construction without paying the MRO walk on every capture
-_HAS_SCHEMA: Dict[type, bool] = {}
-
-
-def _class_has_schema(cls: type) -> bool:
-    has = _HAS_SCHEMA.get(cls)
-    if has is None:
-        has = _HAS_SCHEMA[cls] = collect_schema(cls) is not None
-    return has
-
 
 def _fp_hasher():
     return hashlib.blake2b(digest_size=16)
@@ -654,8 +485,8 @@ class Simulation:
     """A running instance of the system."""
 
     #: one of :data:`SNAPSHOT_MODES`; class attribute, overridable per
-    #: instance.  "bytes" is the component-granular delta path.
-    snapshot_mode = "bytes"
+    #: instance.  "codec" is the production path.
+    snapshot_mode = "codec"
 
     def __init__(self, processes: Sequence[Process]):
         self.processes: Dict[ProcessId, Process] = {}
@@ -669,20 +500,18 @@ class Simulation:
         self._msg_counter = 0
         self.event_count = 0
         self.counters = SimCounters()
-        # per-component dirty-tracked serialization rows (snapshot
-        # sub-blob + fingerprint dumps), keyed by pid / _NET; see
-        # _CompRow.  Rows hold the component strongly, so object ids
-        # cannot be recycled into false hits.
+        # per-component dirty-tracked capture rows (snapshot cells +
+        # fingerprint leaves), keyed by pid / _NET; see _CompRow.  Rows
+        # hold the component strongly, so object ids cannot be recycled
+        # into false hits.
         self._comp_rows: Dict[str, _CompRow] = {}
-        # schema-codec component ledgers (snapshot_mode="codec"), keyed
-        # by pid.  A ledger persists across version bumps — that
-        # persistence is what makes re-encoding O(changed fields) — and
-        # is value-verified on every capture, so it survives restores
-        # and even wholesale component replacement.  Only successful
-        # builds are stored: the pickle-fallback decision is recomputed
-        # per capture so it stays a pure function of (class, state).
+        # schema-codec component ledgers, keyed by pid.  A ledger
+        # persists across version bumps — that persistence is what
+        # makes re-encoding O(changed fields) — and is value-verified on
+        # every capture, so it survives restores and even wholesale
+        # component replacement.
         self._codec_ledgers: Dict[str, ComponentLedger] = {}
-        # canonical-fingerprint payload memo (codec mode): messages are
+        # canonical-fingerprint payload memo: messages are
         # immutable once sent (RL404), so each payload's canonical form
         # is computed once per simulation instead of once per
         # fingerprint.  Entries hold the message strongly (ids stay
@@ -702,14 +531,6 @@ class Simulation:
         # sub-tuple identity (the guard value keeps the tuple alive);
         # bounded by _NET_FRAG_CAP (cleared on overflow)
         self._net_frag: Dict[int, Tuple[Any, bytes]] = {}
-        # the monolithic-blob cache, used by snapshot_mode="blob" only.
-        # An entry is valid while the live container objects are
-        # identical (``is``) and the aggregate dirty key (per-process
-        # dirty counters plus the network's) is unchanged — then the
-        # blob is their exact current serialization.
-        self._config_cache: Optional[
-            Tuple[Dict, Network, Tuple[int, ...], int, bytes]
-        ] = None
 
     # -- configuration management -----------------------------------------
 
@@ -722,11 +543,6 @@ class Simulation:
             self._pid_cache = cached
         return cached
 
-    def _proc_versions(self) -> Tuple[int, ...]:
-        return tuple(
-            getattr(p, "_version", 0) for p in self.processes.values()
-        )
-
     def _row(self, key: str, obj: Any) -> _CompRow:
         """The component's cache row, invalidated on identity/version drift."""
         version = getattr(obj, "_version", 0)
@@ -736,19 +552,6 @@ class Simulation:
             self._comp_rows[key] = row
         return row
 
-    def _comp_blob(self, row: _CompRow) -> bytes:
-        """The component's snapshot sub-blob, serialized at most once."""
-        blob = row.blob
-        if blob is None:
-            blob = row.blob = pickle.dumps(row.obj, PICKLE_PROTOCOL)
-            self.counters.cache_misses += 1
-            self.counters.components_serialized += 1
-            self.counters.bytes_serialized += len(blob)
-        else:
-            self.counters.cache_hits += 1
-            self.counters.bytes_reused += len(blob)
-        return blob
-
     def _net_snapshot_state(self):
         """The network's structural capture, built at most once per version.
 
@@ -756,9 +559,9 @@ class Simulation:
         the (immutable) messages by reference and serializes nothing.
         """
         row = self._row(_NET, self.network)
-        state = row.blob
+        state = row.capture
         if state is None:
-            state = row.blob = _net_capture(self.network, self._net_prev)
+            state = row.capture = _net_capture(self.network, self._net_prev)
             self._net_prev = state
             self.counters.cache_misses += 1
             self.counters.components_serialized += 1
@@ -768,109 +571,50 @@ class Simulation:
 
     def _codec_capture(
         self, pid: ProcessId, proc: Process, row: Optional[_CompRow] = None
-    ) -> Tuple[Optional[Tuple[bytes, ...]], Optional[bytes]]:
-        """The component's codec capture: ``(cells, None)`` or, for a
-        schema-less component, ``(None, pickle_blob)``.
+    ) -> Tuple[bytes, ...]:
+        """The component's codec capture: its cell tuple.
 
-        Cached in the component's row (``row.blob`` holds the cell
-        tuple / the blob); on a cache miss the ledger re-encodes only
-        the cells whose fresh encoding differs from the cached bytes.
-        ``row``, when supplied, must be the component's current row
-        (saves the lookup on paths that already fetched it).
+        Cached in the component's row; on a cache miss the ledger
+        re-encodes only the cells whose fresh encoding differs from the
+        cached bytes.  ``row``, when supplied, must be the component's
+        current row (saves the lookup on paths that already fetched it).
+
+        A component the codec cannot encode — a class whose schema does
+        not cover its state, or a field holding a value the wire format
+        cannot round-trip — raises :class:`CodecError` naming the pid,
+        the class and the field.  There is no fallback: every snapshot
+        and fingerprint goes through the schema, so a gap in it is a bug
+        to fix (lint rule RL504 finds undeclared fields statically).
         """
         if row is None:
             row = self._row(pid, proc)
-        cached = row.blob
+        cached = row.capture
         if cached is not None:
             self.counters.cache_hits += 1
             self.counters.bytes_reused += row.nbytes
-            if type(cached) is tuple:
-                return cached, None
-            return None, cached
-        ledger = self._codec_ledgers.get(pid)
-        if ledger is None or ledger.cls is not type(proc):
-            # (re)build the ledger.  The cells-vs-blob decision must be
-            # a pure function of (class, state) — never of the
-            # simulation's history — or two branches/workers reaching
-            # the identical state would fingerprint it differently and
-            # break shared-seen-set dedup.  So a failed build is never
-            # cached: schema-less classes are recognized by the (pure,
-            # class-keyed) _class_has_schema memo, and a state-level
-            # mismatch falls back for this capture only and is retried
-            # on the next one.
-            ledger = None
-            if _class_has_schema(type(proc)):
-                try:
-                    ledger = ComponentLedger(proc)
-                except CodecError:
-                    ledger = None
-            if ledger is None:
-                self._codec_ledgers.pop(pid, None)
-            else:
-                self._codec_ledgers[pid] = ledger
+            return cached
+        try:
+            ledger = self._codec_ledgers.get(pid)
+            if ledger is None or ledger.cls is not type(proc):
+                ledger = self._codec_ledgers[pid] = ComponentLedger(proc)
+            cells = ledger.capture(proc, self.counters)
+        except CodecError as exc:
+            raise CodecError(f"cannot snapshot process {pid!r}: {exc}") from exc
         self.counters.cache_misses += 1
         self.counters.components_serialized += 1
-        if ledger is None:
-            self.counters.codec_fallbacks += 1
-            blob = pickle.dumps(proc, PICKLE_PROTOCOL)
-            self.counters.bytes_serialized += len(blob)
-            row.blob = blob
-            row.nbytes = len(blob)
-            return None, blob
-        try:
-            cells = ledger.capture(proc, self.counters)
-        except CodecError:
-            # state drifted outside the schema (e.g. a field rebound to
-            # an unsupported type): fall back for THIS capture only.
-            # The ledger is kept and the next capture retries the codec
-            # path, so the fallback — and with it the fingerprint —
-            # stays a function of the state, not of when the drift
-            # happened (a partially updated cell cache is harmless:
-            # capture re-encodes and byte-compares every field).
-            self.counters.codec_fallbacks += 1
-            blob = pickle.dumps(proc, PICKLE_PROTOCOL)
-            self.counters.bytes_serialized += len(blob)
-            row.blob = blob
-            row.nbytes = len(blob)
-            return None, blob
-        row.blob = cells
+        row.capture = cells
         row.nbytes = sum(len(c) for c in cells)
-        return cells, None
-
-    def _config_blob(self) -> bytes:
-        """The monolithic combined blob (snapshot_mode="blob" only)."""
-        procs = self.processes
-        net = self.network
-        versions = self._proc_versions()
-        net_version = getattr(net, "_version", 0)
-        entry = self._config_cache
-        if (
-            entry is not None
-            and entry[0] is procs
-            and entry[1] is net
-            and entry[2] == versions
-            and entry[3] == net_version
-        ):
-            self.counters.cache_hits += 1
-            self.counters.bytes_reused += len(entry[4])
-            return entry[4]
-        blob = pickle.dumps((procs, net), PICKLE_PROTOCOL)
-        self._config_cache = (procs, net, versions, net_version, blob)
-        self.counters.cache_misses += 1
-        self.counters.bytes_serialized += len(blob)
-        return blob
+        return cells
 
     def snapshot(self):
         """Capture the current configuration.
 
-        In the default ``"bytes"`` mode the snapshot is one pickle
-        sub-blob (protocol 5) per process plus one zero-copy structural
-        capture of the network, each served from the per-component dirty
-        cache: after one event, only the touched components are
-        captured, every clean capture is shared by reference with the
-        previous snapshot.  ``"blob"`` serializes the whole
-        configuration as one combined blob (the pre-delta path);
-        ``"deepcopy"`` deep copies the live objects.
+        The snapshot is one cell tuple per process plus one zero-copy
+        structural capture of the network, each served from the
+        per-component dirty cache: after one event, only the touched
+        components are captured (and inside them only the touched
+        cells), every clean capture is shared by reference with the
+        previous snapshot.  ``"deepcopy"`` deep copies the live objects.
         """
         self.counters.snapshots += 1
         if self.snapshot_mode == "deepcopy":
@@ -880,50 +624,28 @@ class Simulation:
                 msg_counter=self._msg_counter,
                 event_count=self.event_count,
             )
-        if self.snapshot_mode == "blob":
-            return BlobConfiguration(
-                blob=self._config_blob(),
-                msg_counter=self._msg_counter,
-                event_count=self.event_count,
-            )
-        if self.snapshot_mode == "codec":
-            entries = []
-            ledgers = self._codec_ledgers
-            rows = self._comp_rows
-            counters = self.counters
-            for pid, proc in self.processes.items():
-                # inline row-hit fast path (the overwhelmingly common
-                # case: one event dirties one component)
-                row = rows.get(pid)
-                if (
-                    row is not None
-                    and row.obj is proc
-                    and row.version == proc._version
-                    and row.blob is not None
-                ):
-                    cached = row.blob
-                    counters.cache_hits += 1
-                    counters.bytes_reused += row.nbytes
-                    if type(cached) is tuple:
-                        entries.append((pid, ledgers[pid].clsref, cached, None))
-                    else:
-                        entries.append((pid, None, None, cached))
-                    continue
-                cells, blob = self._codec_capture(pid, proc, row=None)
-                ledger = ledgers.get(pid)
-                clsref = ledger.clsref if (ledger is not None and cells is not None) else None
-                entries.append((pid, clsref, cells, blob))
-            return CodecConfiguration(
-                procs=tuple(entries),
-                net_state=self._net_snapshot_state(),
-                msg_counter=self._msg_counter,
-                event_count=self.event_count,
-            )
+        entries = []
+        ledgers = self._codec_ledgers
+        rows = self._comp_rows
+        counters = self.counters
+        for pid, proc in self.processes.items():
+            # inline row-hit fast path (the overwhelmingly common case:
+            # one event dirties one component)
+            row = rows.get(pid)
+            if (
+                row is not None
+                and row.obj is proc
+                and row.version == proc._version
+                and row.capture is not None
+            ):
+                counters.cache_hits += 1
+                counters.bytes_reused += row.nbytes
+                cells = row.capture
+            else:
+                cells = self._codec_capture(pid, proc)
+            entries.append((pid, ledgers[pid].clsref, cells))
         return Configuration(
-            proc_blobs=tuple(
-                (pid, self._comp_blob(self._row(pid, proc)))
-                for pid, proc in self.processes.items()
-            ),
+            procs=tuple(entries),
             net_state=self._net_snapshot_state(),
             msg_counter=self._msg_counter,
             event_count=self.event_count,
@@ -934,105 +656,28 @@ class Simulation:
 
         A configuration may be restored any number of times; restoring
         never aliases live state (the :class:`Configuration` ownership
-        rule).  Bytes snapshots get this for free — restored components
-        are materialized fresh from immutable sub-blobs — so no
-        defensive copy is made.  Component-granular snapshots restore as
-        a **delta apply**: a live component whose cached serialization
-        *is* the snapshot's sub-blob (same object, same dirty version,
-        same bytes object) is already in the snapshotted state and is
-        kept; only the components that differ are re-deserialized.
-        Deep-copy snapshots must still fork once to stay private.
+        rule).  Codec snapshots get this for free — restored components
+        are decoded fresh from immutable cells — so no defensive copy is
+        made, and they restore as a **delta apply** (see
+        :meth:`_restore_codec`).  Deep-copy snapshots must still fork
+        once to stay private.
 
         The trace and the command log are observational and are *not*
         rewound; use their ``mark``/cursor mechanisms to slice branches.
         """
         self.counters.restores += 1
         if isinstance(config, Configuration):
-            self._restore_delta(config)
-        elif isinstance(config, CodecConfiguration):
             self._restore_codec(config)
-        elif isinstance(config, BlobConfiguration):
-            self._restore_blob(config)
         else:
             forked = config.fork()
             self.processes = forked.processes
             self.network = forked.network
-            self._config_cache = None
             self._comp_rows = {}
             self._net_prev = None
         self._msg_counter = config.msg_counter
         self.event_count = config.event_count
 
-    def _restore_delta(self, config: Configuration) -> None:
-        """Apply only the components that differ from the snapshot."""
-        counters = self.counters
-        fp_map = dict(config.fp_dumps) if config.fp_dumps is not None else None
-        fpc_map = (
-            dict(config.fp_dumps_canon)
-            if config.fp_dumps_canon is not None
-            else None
-        )
-        rows = self._comp_rows
-        new_procs: Dict[ProcessId, Process] = {}
-        changed = 0
-        for pid, blob in config.proc_blobs:
-            live = self.processes.get(pid)
-            row = rows.get(pid)
-            if (
-                row is not None
-                and live is not None
-                and row.obj is live
-                and row.version == getattr(live, "_version", 0)
-                and row.blob is blob
-            ):
-                # the live process's exact serialization *is* this
-                # sub-blob: it already equals the snapshot, keep it
-                counters.components_reused += 1
-                proc = live
-            else:
-                proc = pickle.loads(blob)
-                row = _CompRow(proc, 0)
-                row.blob = blob
-                rows[pid] = row
-                counters.components_restored += 1
-                counters.bytes_restored += len(blob)
-                changed += 1
-            # re-prime the fingerprint dumps: the row's state is exactly
-            # what the snapshot's attached dumps were computed from, so
-            # a branch off this restore only re-serializes what it
-            # touches
-            if row.fp is None and fp_map is not None:
-                row.fp = fp_map.get(pid)
-            if row.fp_canon is None and fpc_map is not None:
-                row.fp_canon = fpc_map.get(pid)
-            new_procs[pid] = proc
-        net = self.network
-        row = rows.get(_NET)
-        if (
-            row is not None
-            and row.obj is net
-            and row.version == getattr(net, "_version", 0)
-            and row.blob is config.net_state
-        ):
-            counters.components_reused += 1
-        else:
-            net = _net_build(config.net_state)
-            row = _CompRow(net, 0)
-            row.blob = config.net_state
-            rows[_NET] = row
-            counters.components_restored += 1
-            self.network = net
-            changed += 1
-        # the snapshot's capture describes the network's exact state now,
-        # so it is the right (same-lineage) seed for the next capture's
-        # per-container reuse scan
-        self._net_prev = config.net_state
-        if changed == 0:
-            counters.restore_reuses += 1
-        if changed or len(new_procs) != len(self.processes):
-            self.processes = new_procs
-
-    def _restore_codec(self, config: "CodecConfiguration") -> None:
+    def _restore_codec(self, config: Configuration) -> None:
         """Apply a codec snapshot as a *field-level* delta.
 
         Three tiers per component, cheapest first:
@@ -1049,14 +694,14 @@ class Simulation:
            exactly the child state the search is backing out of.
         3. Otherwise materialize the component fresh from its cells
            (rebuilding the ledger if the component shipped from another
-           process), or from its pickle blob for fallback components.
+           process).
         """
         counters = self.counters
         rows = self._comp_rows
         ledgers = self._codec_ledgers
         new_procs: Dict[ProcessId, Process] = {}
         changed = 0
-        for pid, clsref, cells, blob in config.procs:
+        for pid, clsref, cells in config.procs:
             live = self.processes.get(pid)
             row = rows.get(pid)
             row_current = (
@@ -1065,20 +710,19 @@ class Simulation:
                 and row.obj is live
                 and row.version == getattr(live, "_version", 0)
             )
-            if row_current and row.blob is (cells if cells is not None else blob):
+            if row_current and row.capture is cells:
                 counters.components_reused += 1
                 new_procs[pid] = live
                 continue
             ledger = ledgers.get(pid)
             if (
-                cells is not None
-                and row_current
-                and type(row.blob) is tuple
+                row_current
+                and row.capture is not None
                 and ledger is not None
                 and ledger.cls is type(live)
             ):
                 # field-level in-place delta against the live capture
-                live_cells = row.blob
+                live_cells = row.capture
                 schema = ledger.schema
                 decoded = 0
                 for i, cell in enumerate(cells):
@@ -1101,7 +745,7 @@ class Simulation:
                 else:
                     counters.components_reused += 1
                 row = _CompRow(live, getattr(live, "_version", 0))
-                row.blob = cells
+                row.capture = cells
                 row.nbytes = sum(len(c) for c in cells)
                 rows[pid] = row
                 new_procs[pid] = live
@@ -1109,24 +753,18 @@ class Simulation:
             # full materialization
             changed += 1
             counters.components_restored += 1
-            if cells is None:
-                proc = pickle.loads(blob)
-                counters.bytes_restored += len(blob)
-            else:
-                if ledger is None or ledger.clsref != clsref:
-                    ledger = ledger_from_cells(clsref, pid, cells)
-                    ledgers[pid] = ledger
-                proc = ledger.decode_component(cells)
-                counters.bytes_restored += sum(
-                    len(cells[i])
-                    for i, f in enumerate(ledger.schema)
-                    if f.kind != "const"
-                )
-            row = _CompRow(proc, 0)
-            row.blob = cells if cells is not None else blob
-            row.nbytes = (
-                sum(len(c) for c in cells) if cells is not None else len(blob)
+            if ledger is None or ledger.clsref != clsref:
+                ledger = ledger_from_cells(clsref, pid, cells)
+                ledgers[pid] = ledger
+            proc = ledger.decode_component(cells)
+            counters.bytes_restored += sum(
+                len(cells[i])
+                for i, f in enumerate(ledger.schema)
+                if f.kind != "const"
             )
+            row = _CompRow(proc, 0)
+            row.capture = cells
+            row.nbytes = sum(len(c) for c in cells)
             rows[pid] = row
             new_procs[pid] = proc
         net = self.network
@@ -1135,13 +773,13 @@ class Simulation:
             row is not None
             and row.obj is net
             and row.version == getattr(net, "_version", 0)
-            and row.blob is config.net_state
+            and row.capture is config.net_state
         ):
             counters.components_reused += 1
         else:
             net = _net_build(config.net_state)
             row = _CompRow(net, 0)
-            row.blob = config.net_state
+            row.capture = config.net_state
             rows[_NET] = row
             counters.components_restored += 1
             self.network = net
@@ -1154,43 +792,6 @@ class Simulation:
             counters.restore_reuses += 1
         if changed or len(new_procs) != len(self.processes):
             self.processes = new_procs
-
-    def _restore_blob(self, config: "BlobConfiguration") -> None:
-        """Restore from a monolithic blob (snapshot_mode="blob")."""
-        entry = self._config_cache
-        if (
-            entry is not None
-            and entry[0] is self.processes
-            and entry[1] is self.network
-            and entry[2] == self._proc_versions()
-            and entry[3] == getattr(self.network, "_version", 0)
-            and entry[4] is config.blob
-        ):
-            # the live configuration's exact serialization *is* this
-            # blob: the state already equals the snapshot, keep it
-            self.counters.restore_reuses += 1
-            return
-        self.processes, self.network = pickle.loads(config.blob)
-        self._config_cache = (
-            self.processes,
-            self.network,
-            self._proc_versions(),
-            getattr(self.network, "_version", 0),
-            config.blob,
-        )
-        self.counters.bytes_restored += len(config.blob)
-        # re-prime the fingerprint rows from the snapshot's attached dumps
-        self._comp_rows = {}
-        self._net_prev = None
-        for attr, dumps in (
-            ("fp", config.fp_dumps),
-            ("fp_canon", config.fp_dumps_canon),
-        ):
-            if dumps is None:
-                continue
-            for pid, dump in dumps:
-                row = self._row(pid, self.processes[pid])
-                setattr(row, attr, dump)
 
     def _structural_payload_strict(self) -> bytes:
         """The network's message placement as canonical bytes (strict).
@@ -1214,9 +815,9 @@ class Simulation:
         # the capture is cached on the net row by _net_snapshot_state;
         # build it here (uncounted) if a fingerprint runs first
         row = self._row(_NET, net)
-        state = row.blob
+        state = row.capture
         if state is None:
-            state = row.blob = _net_capture(net, self._net_prev)
+            state = row.capture = _net_capture(net, self._net_prev)
             self._net_prev = state
         frag = self._net_frag
         if len(frag) >= _NET_FRAG_CAP:
@@ -1280,9 +881,8 @@ class Simulation:
         Messages are immutable once sent (the model's "links do not
         modify messages", lint rule RL404), so the canonical form never
         changes; entries hold the message strongly so the id key stays
-        valid.  Used by the codec fingerprint path, where the canonical
-        trace would otherwise re-canonize every in-flight payload on
-        every fingerprint.
+        valid.  Used by the canonical fingerprint, which would otherwise
+        re-canonize every in-flight payload on every fingerprint.
         """
         memo = self._payload_canon
         entry = memo.get(id(m))
@@ -1295,7 +895,7 @@ class Simulation:
             memo[id(m)] = entry
         return entry[1]
 
-    def _structural_trace_canonical(self, memo: bool = False):
+    def _structural_trace_canonical(self):
         """Message placement *and contents* up to commutation (POR).
 
         Blind to global ``msg_id``s: in-transit messages are identified
@@ -1319,7 +919,7 @@ class Simulation:
         """
         net = self.network
         idx = self._pid_order()[1]
-        canon = self._canon_payload if memo else (lambda m: _canonize(m.payload))
+        canon = self._canon_payload
         return (
             tuple(
                 sorted(
@@ -1384,24 +984,22 @@ class Simulation:
         return _fast_dumps(_canonize(obj, {}))
 
     def _proc_fp_dumps(self, canonical: bool = False) -> List[Tuple[ProcessId, bytes]]:
-        """Canonical per-process state dumps, for :meth:`fingerprint`.
+        """Canonical per-process state dumps (the deep-copy oracle's
+        fingerprint).
 
-        Each process's state is serialized with :meth:`_dumps_canonical`
-        — deliberately a *different* serialization than the snapshot's
-        combined blob, whose memo encodes object-sharing topology (a
-        strictly finer relation than the value equality the exploration
-        engine has always pruned with).  ``canonical=True`` serializes
+        Each process's state is serialized with :meth:`_dumps_canonical`,
+        independently of the codec: it walks ``__getstate__`` itself, so
+        a schema or cell bug in the production path cannot hide in both
+        fingerprints at once.  ``canonical=True`` serializes
         :meth:`Process.fp_state` instead of the raw snapshot state, so
         data the process never branches on (a client's event-counter
         stamps) is masked out of the trace-canonical fingerprint.
 
-        Dumps live in the same per-component cache rows as the snapshot
-        sub-blobs (see :class:`_CompRow`), keyed on (object identity,
-        dirty counter): every process mutation goes through
-        ``step``/``invoke`` (which bump the counter), and :meth:`restore`
-        re-primes the rows from the snapshot's attached dumps — so a
-        fingerprint after restore-plus-one-event re-serializes at most
-        the one process the event touched (none at all for a delivery).
+        Dumps live in the per-component cache rows (see
+        :class:`_CompRow`), keyed on (object identity, dirty counter):
+        every process mutation goes through ``step``/``invoke`` (which
+        bump the counter), so a fingerprint after one event
+        re-serializes at most the one process the event touched.
         """
         attr = "fp_canon" if canonical else "fp"
         out: List[Tuple[ProcessId, bytes]] = []
@@ -1422,7 +1020,7 @@ class Simulation:
     def _codec_fp_digests(
         self, canonical: bool = False
     ) -> List[Tuple[ProcessId, bytes]]:
-        """Per-process Merkle digests (snapshot_mode="codec").
+        """Per-process Merkle digests (the production fingerprint).
 
         The strict digest combines the component's field cells
         (:func:`repro.sim.codec.cells_digest`); the canonical variant
@@ -1431,9 +1029,7 @@ class Simulation:
         a fingerprint after one event re-hashes only the cells the
         event touched, and the hashing itself is C-speed over already
         encoded buffers.  Digests live in the same dirty-keyed rows as
-        the cell captures; components without a schema hash their
-        canonical pickle, which keeps the partition identical to the
-        bytes mode's.
+        the cell captures.
         """
         counters = self.counters
         out: List[Tuple[ProcessId, bytes]] = []
@@ -1452,20 +1048,11 @@ class Simulation:
                 counters.cache_hits += 1
                 out.append((pid, digest))
                 continue
-            cells, _blob = self._codec_capture(pid, proc, row)
-            if cells is None:
-                state = proc.fp_state() if canonical else proc.__getstate__()
-                digest = hashlib.blake2b(
-                    self._dumps_canonical(state), digest_size=16
-                ).digest()
-            else:
+            cells = self._codec_capture(pid, proc, row)
+            if canonical:
                 ledger = self._codec_ledgers[pid]
-                use = (
-                    ledger.canon_capture(proc, cells, counters)
-                    if canonical
-                    else cells
-                )
-                digest = cells_digest(use, _fp_hasher)
+                cells = ledger.canon_capture(proc, cells, counters)
+            digest = cells_digest(cells, _fp_hasher)
             if canonical:
                 row.fp_canon = digest
             else:
@@ -1474,59 +1061,16 @@ class Simulation:
             out.append((pid, digest))
         return out
 
-    def _describes_live(self, config) -> bool:
-        """Whether ``config`` is verifiably a snapshot of the live state.
-
-        True only when every component's cached serialization *is* the
-        snapshot's sub-blob (delta snapshots) or the combined blob cache
-        entry *is* the snapshot's blob (monolithic snapshots) — i.e. the
-        check is identity-based and never re-serializes anything.
-        """
-        if isinstance(config, BlobConfiguration):
-            entry = self._config_cache
-            return (
-                entry is not None
-                and entry[0] is self.processes
-                and entry[1] is self.network
-                and entry[2] == self._proc_versions()
-                and entry[3] == getattr(self.network, "_version", 0)
-                and entry[4] is config.blob
-            )
-        if len(config.proc_blobs) != len(self.processes):
-            return False
-        rows = self._comp_rows
-        for pid, blob in config.proc_blobs:
-            live = self.processes.get(pid)
-            row = rows.get(pid)
-            if (
-                live is None
-                or row is None
-                or row.obj is not live
-                or row.version != getattr(live, "_version", 0)
-                or row.blob is not blob
-            ):
-                return False
-        row = rows.get(_NET)
-        return (
-            row is not None
-            and row.obj is self.network
-            and row.version == getattr(self.network, "_version", 0)
-            and row.blob is config.net_state
-        )
-
-    def fingerprint(
-        self,
-        config: Optional["Configuration"] = None,
-        canonical: bool = False,
-    ) -> bytes:
+    def fingerprint(self, canonical: bool = False) -> bytes:
         """A content hash of the current configuration, for revisit pruning.
 
         Covers every process's state plus the structural placement of
         in-transit and income messages; deliberately *excludes* the event
         and message counters (and the dirty counters), so configurations
         reached by different interleavings of the same events collide.
-        Pickle is stable here because all process state is plain Python
-        data and the simulation is deterministic.
+        The per-process leaves are value-canonical encodings (codec
+        cells, or the oracle's canonical dumps), so the hash is a pure
+        function of the state's values.
 
         ``canonical=True`` hashes the *trace-canonical* placement instead
         (:meth:`_structural_trace_canonical`): blind to global ``msg_id``
@@ -1535,32 +1079,15 @@ class Simulation:
         exploration engine uses it for partial-order reduction; the
         default (strict) placement stays byte-compatible with the
         pre-engine baselines.
-
-        ``config``, when given, must be a snapshot of the *current*
-        configuration (the one-snapshot-per-node pattern takes it anyway);
-        the hash itself is always computed from the live per-process
-        states — see :meth:`_proc_fp_dumps` for why the snapshot's
-        combined blob would hash a finer relation.  As a side effect the
-        per-process dumps are attached to ``config`` (when it is verified
-        to still describe the live state), so restoring it later
-        re-primes the fingerprint cache.
         """
         self.counters.fingerprints += 1
-        codec_mode = self.snapshot_mode == "codec"
-        if codec_mode:
-            # Merkle path: per-process digests straight from the cell
-            # captures; no dumps to attach — the persistent ledgers are
-            # the cache, and restores keep them primed by construction
-            dumps = self._codec_fp_digests(canonical)
-        else:
+        if self.snapshot_mode == "deepcopy":
             dumps = self._proc_fp_dumps(canonical)
-            attach_slot = "fp_dumps_canon" if canonical else "fp_dumps"
-            if (
-                isinstance(config, (Configuration, BlobConfiguration))
-                and getattr(config, attach_slot) is None
-                and self._describes_live(config)
-            ):
-                setattr(config, attach_slot, tuple(dumps))
+        else:
+            # Merkle path: per-process digests straight from the cell
+            # captures — the persistent ledgers are the cache, and
+            # restores keep them primed by construction
+            dumps = self._codec_fp_digests(canonical)
         # the structural payload is a pure function of the network state,
         # so it caches in the network's dirty-keyed row (fp/fp_canon are
         # unused on the _NET row otherwise)
@@ -1572,9 +1099,7 @@ class Simulation:
                 # the canonical structure embeds message payloads
                 # (arbitrary values), so it needs the
                 # identity-independent serializer
-                payload = _fast_dumps(
-                    self._structural_trace_canonical(memo=codec_mode)
-                )
+                payload = _fast_dumps(self._structural_trace_canonical())
             else:
                 payload = self._structural_payload_strict()
             setattr(netrow, pattr, payload)

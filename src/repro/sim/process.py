@@ -70,12 +70,11 @@ class Process:
     Subclasses additionally declare their state fields in a
     ``codec_schema`` tuple (see :mod:`repro.sim.codec`): each class
     lists only the fields its own ``__init__`` introduces; the full
-    schema is collected over the MRO.  The declaration drives the
-    schema-codec snapshot mode (``snapshot_mode="codec"``) and the
-    incremental Merkle fingerprints; a class without a complete schema
-    still works through the pickled-blob fallback, but pays O(process)
-    per event instead of O(delta).  Lint rule RL504 cross-checks the
-    declarations against the assignments.
+    schema is collected over the MRO.  The declaration drives every
+    snapshot and the incremental Merkle fingerprints; a class without a
+    complete schema cannot be snapshotted (``CodecError`` naming the
+    class and field).  Lint rule RL504 cross-checks the declarations
+    against the assignments.
     """
 
     #: declared state fields for the schema codec; ``pid`` never

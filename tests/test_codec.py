@@ -11,8 +11,12 @@ Three layers of defense, cheapest first:
   driven system capture/decode round-trips against ``__getstate__``.
 * **Engine-level**: a bounded DFS under ``snapshot_mode="codec"``
   reproduces the verdicts, state counts, anomaly unions and
-  first-violation traces of the ``bytes``, ``blob`` and ``deepcopy``
-  oracles bit-for-bit, with zero codec fallbacks.
+  first-violation traces of the ``deepcopy`` oracle bit-for-bit, and
+  the Lemma 3 induction reaches the same outcome, for every registered
+  protocol.
+* **Loud failure**: a component the codec cannot encode raises a
+  :class:`CodecError` naming the pid, class and field — there is no
+  silent fallback path.
 """
 
 import pickle
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.explore import explore_write_read_race
+from repro.core.induction import run_induction
 from repro.core.setup import SetupError, prepare_theorem_system
 from repro.protocols.registry import protocol_names
 from repro.sim.codec import (
@@ -33,13 +38,18 @@ from repro.sim.codec import (
     encode_cell,
     value,
 )
-from repro.sim.executor import SimCounters, Simulation, use_snapshot_mode
+from repro.sim.executor import (
+    SNAPSHOT_MODES,
+    SimCounters,
+    Simulation,
+    use_snapshot_mode,
+)
 from repro.sim.process import Process
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.txn.client import UnsupportedTransaction
 from repro.txn.types import BOTTOM, Transaction
 
-MODES = ("bytes", "codec", "blob", "deepcopy")
+MODES = SNAPSHOT_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +201,7 @@ def test_codec_mode_bit_identical_to_oracles(protocol, depth):
                 first_violation_only=False,
             )
         keys[mode] = _result_key(r)
-        if mode == "codec":
-            assert r.counters.codec_fallbacks == 0, (
-                f"{protocol}: codec mode fell back to pickle blobs"
-            )
-    for mode in MODES[1:]:
-        assert keys[mode] == keys["bytes"], f"{protocol}: {mode} diverges"
+    assert keys["codec"] == keys["deepcopy"], f"{protocol}: codec diverges"
 
 
 @pytest.mark.parametrize("protocol", ["fastclaim", "cops"])
@@ -213,8 +218,7 @@ def test_codec_mode_first_violation_trace_identical(protocol):
             [tuple(s) for s, _ in r.violations[:1]],
             sorted(str(a) for _, an in r.violations[:1] for a in an),
         )
-    for mode in MODES[1:]:
-        assert traces[mode] == traces["bytes"], f"{protocol}: {mode} trace diverges"
+    assert traces["codec"] == traces["deepcopy"], f"{protocol}: trace diverges"
 
 
 def test_codec_fingerprint_work_is_o_delta():
@@ -238,8 +242,52 @@ def test_codec_fingerprint_work_is_o_delta():
         )
 
 
+def _outcome(fn):
+    """``fn()``'s result, or the exception it raised (type and message)."""
+    try:
+        return fn()
+    except Exception as exc:  # compared across modes, never swallowed
+        return ("raises", type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("name", protocol_names())
+def test_induction_identical_across_modes(name):
+    """The Lemma 3 induction reaches the same verdict under the codec and
+    the deep-copy oracle for every protocol in the zoo (a protocol that
+    refuses the setup must refuse it the same way in both)."""
+
+    def induction():
+        verdict = run_induction(prepare_theorem_system(name))
+        return (verdict.outcome, verdict.k_reached, verdict.forced_messages)
+
+    got = {}
+    for mode in MODES:
+        with use_snapshot_mode(mode):
+            got[mode] = _outcome(induction)
+    assert got["codec"] == got["deepcopy"], name
+
+
+@pytest.mark.parametrize("name", protocol_names())
+def test_explore_identical_across_modes(name):
+    """A budget-cut exhaustive search explores the same state partition
+    under the codec and the deep-copy oracle for every protocol."""
+
+    def explore():
+        return _result_key(
+            explore_write_read_race(
+                name, max_depth=12, max_states=300, first_violation_only=False
+            )
+        )
+
+    got = {}
+    for mode in MODES:
+        with use_snapshot_mode(mode):
+            got[mode] = _outcome(explore)
+    assert got["codec"] == got["deepcopy"], name
+
+
 # ---------------------------------------------------------------------------
-# Fallback purity: the cells-vs-blob decision is a function of the state
+# Loud failure: a component outside the schema raises, naming the field
 # ---------------------------------------------------------------------------
 
 
@@ -256,43 +304,34 @@ class _DriftyProc(Process):
         pass
 
 
-def test_transient_codec_fallback_is_not_sticky():
-    """A mid-run ``CodecError`` must not permanently switch the pid to
-    the pickle fallback: the fingerprint has to stay a pure function of
-    the state (shared-seen-set dedup compares fingerprints across
-    workers and branches with different histories)."""
-    with use_snapshot_mode("codec"):
-        sim = Simulation([_DriftyProc("a")])
-        fp0 = sim.fingerprint()
-        snap0 = sim.snapshot()
-        assert snap0.procs[0][2] is not None  # cells, not a blob
-        proc = sim.processes["a"]
-        # drift outside the schema: builtin-container subclasses are
-        # not codec-encodable
-        proc.x = OrderedDict()
-        proc.mark_dirty()
-        assert sim.counters.codec_fallbacks == 0
-        sim.fingerprint()
-        snap_drift = sim.snapshot()
-        assert sim.counters.codec_fallbacks >= 1
-        assert snap_drift.procs[0][2] is None  # pickled blob while drifted
-        # recover to the exact original state: the codec path must come
-        # back, and the fingerprint must equal the pre-drift one
-        proc.x = 0
-        proc.mark_dirty()
-        fp1 = sim.fingerprint()
-        assert fp1 == fp0
-        snap1 = sim.snapshot()
-        assert snap1.procs[0][2] is not None
-        # a fresh simulation (no drift in its history) agrees
-        fresh = Simulation([_DriftyProc("a")])
-        assert fresh.fingerprint() == fp1
+def test_drifted_field_raises_then_recovers():
+    """A field rebound to a value the codec cannot encode raises a
+    ``CodecError`` naming the pid, class and field, on both the snapshot
+    and the fingerprint path; once the field is set back, the
+    fingerprint equals the pre-drift one (the failed capture left no
+    trace in the ledger)."""
+    sim = Simulation([_DriftyProc("a")])
+    fp0 = sim.fingerprint()
+    proc = sim.processes["a"]
+    # builtin-container subclasses are not codec-encodable
+    proc.x = OrderedDict()
+    proc.mark_dirty()
+    for capture in (sim.fingerprint, sim.snapshot):
+        with pytest.raises(CodecError) as info:
+            capture()
+        assert "'a'" in str(info.value)
+        assert "_DriftyProc.x" in str(info.value)
+    proc.x = 0
+    proc.mark_dirty()
+    assert sim.fingerprint() == fp0
+    sim.restore(sim.snapshot())
+    # a fresh simulation (no drift in its history) agrees
+    assert Simulation([_DriftyProc("a")]).fingerprint() == fp0
+    assert sim.counters.codec_fallbacks == 0
 
 
 class _NoSchemaProc(Process):
-    """Inherits only Process's (const("pid"),) — ``x`` undeclared, so
-    ledger construction always fails on the schema/state mismatch.
-    Module-level: the pickle fallback must be able to serialize it."""
+    """Inherits only Process's (const("pid"),) — ``x`` undeclared."""
 
     def __init__(self, pid):
         super().__init__(pid)
@@ -302,23 +341,29 @@ class _NoSchemaProc(Process):
         pass
 
 
-def test_mismatched_schema_fallback_is_stable():
-    """A class whose MRO schema never matches its state (here: ``x`` is
-    assigned but undeclared) falls back on *every* capture: ledger
-    construction is retried and fails each time, no ledger is cached,
-    and the fingerprint stays a pure function of the state."""
-    with use_snapshot_mode("codec"):
-        sim = Simulation([_NoSchemaProc("a")])
-        fp0 = sim.fingerprint()
-        snap = sim.snapshot()
-        assert snap.procs[0][2] is None
-        assert "a" not in sim._codec_ledgers
-        sim.processes["a"].x = 1
-        sim.processes["a"].mark_dirty()
-        sim.fingerprint()
-        sim.processes["a"].x = 0
-        sim.processes["a"].mark_dirty()
-        assert sim.fingerprint() == fp0
+def test_undeclared_field_raises():
+    """A class whose schema does not cover its state cannot be captured:
+    the error names the pid, the class and the undeclared field."""
+    sim = Simulation([_NoSchemaProc("a")])
+    for capture in (sim.fingerprint, sim.snapshot):
+        with pytest.raises(CodecError) as info:
+            capture()
+        msg = str(info.value)
+        assert "'a'" in msg and "_NoSchemaProc" in msg and "['x']" in msg
+    assert "a" not in sim._codec_ledgers
+
+
+def test_field_added_after_construction_raises():
+    """The lazy ``getattr(self, "f", default)`` idiom grows the state
+    after the ledger was built; the capture refuses instead of silently
+    dropping the new field from every snapshot."""
+    sim = Simulation([_DriftyProc("a")])
+    sim.snapshot()
+    proc = sim.processes["a"]
+    proc.y = 1
+    proc.mark_dirty()
+    with pytest.raises(CodecError, match=r"_DriftyProc changed shape.*\['y'\]"):
+        sim.snapshot()
 
 
 def test_senc_cache_is_bounded():

@@ -9,6 +9,7 @@ from repro.protocols.cops_geo import (
     pid_dc,
     server_pid,
 )
+from repro.sim.executor import SNAPSHOT_MODES, use_snapshot_mode
 from repro.sim.scheduler import RandomScheduler, RoundRobinScheduler, run_until_quiescent
 from repro.txn.client import UnsupportedTransaction
 from repro.txn.types import BOTTOM, read_only_txn, write_only_txn
@@ -116,6 +117,30 @@ class TestReplication:
         system.settle()
         rec = do(system, "a", read_only_txn(("X0", "X1"), txid="ra"))
         assert rec.reads == {"X0": "post", "X1": "reply"}
+
+    @pytest.mark.parametrize("mode", SNAPSHOT_MODES)
+    def test_pending_replica_released_after_restore(self, mode):
+        """A replica held behind its dependency check must still be
+        released after a snapshot restore rebuilt its server: the
+        pending entry refers to the stored version by key, so decoding
+        ``pending`` and ``store`` separately cannot split them."""
+        with use_snapshot_mode(mode):
+            system = build()
+            sim = system.sim
+            do(system, "a", write_only_txn({"X0": "v0"}, txid="w0"))
+            do(system, "a", write_only_txn({"X1": "v1"}, txid="w1"))
+            servers = tuple(p for p in sim.processes if p.startswith("s"))
+            sched = RoundRobinScheduler()
+            while not any(sim.processes[s].pending for s in servers):
+                sched.tick(sim, pids=servers)
+            waiting = [s for s in servers if sim.processes[s].pending]
+            snap = sim.snapshot()
+            for s in waiting:  # dirty them, so the restore rebuilds them
+                sim.step(s)
+            sim.restore(snap)
+            system.settle()
+            rec = do(system, "b", read_only_txn(("X0", "X1"), txid="r"))
+            assert rec.reads == {"X0": "v0", "X1": "v1"}
 
 
 class TestGeoConsistency:

@@ -282,6 +282,27 @@ def test_sweep_order_maximizes_component_sharing():
     assert sweep_order([("a",), ("b",)]) == [0, 1]
 
 
+def test_snapshot_signature_tracks_changed_components():
+    """Two snapshots one event apart share every signature token except
+    the one component the event changed — so ``sweep_order`` sees the
+    sharing between codec snapshots."""
+    from helpers import Echo, Pinger
+    from repro.engine.parallel import _snapshot_signature
+    from repro.sim.executor import Simulation, use_snapshot_mode
+
+    sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+    sim.step("p")  # a ping is now in transit
+    snap_a = sim.snapshot()
+    sim.deliver("p", "e")  # moves the ping: touches the network only
+    snap_b = sim.snapshot()  # both held: the id tokens stay unique
+    before, after = _snapshot_signature(snap_a), _snapshot_signature(snap_b)
+    assert len(before) == len(after) == len(sim.processes) + 1
+    assert [a == b for a, b in zip(before, after)] == [True, True, False]
+    # deep-copy snapshots share nothing component-wise: one opaque token
+    with use_snapshot_mode("deepcopy"):
+        assert len(_snapshot_signature(Simulation([Echo("e")]).snapshot())) == 1
+
+
 def test_global_budget_caps_pool(monkeypatch):
     """``max_states`` is one pool-wide budget, not per worker.
 

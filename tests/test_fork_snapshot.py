@@ -1,14 +1,13 @@
 """The fast-fork snapshot machinery: isolation, cost accounting, budgets.
 
-The component-granular snapshot rework (``Configuration`` as one pickle
-sub-blob per process plus a structural network capture, restored as a
-delta) must preserve the old deep-copy contract exactly: a snapshot is
+The component-granular codec snapshot (``Configuration`` as one cell
+tuple per process plus a structural network capture, restored as a
+delta) must preserve the deep-copy contract exactly: a snapshot is
 isolated from every future mutation of the live simulation, a restore
 never hands out mutable state aliased with the snapshot, and the
 exploration engine's fingerprints reproduce the same equivalence
-classes.  Every contract test here runs against all three snapshot
-modes — the delta path, the retained monolithic blob path, and the
-deep-copy oracle.
+classes.  Every contract test here runs against both snapshot modes —
+the production codec path and the deep-copy oracle.
 """
 
 import pytest
@@ -19,7 +18,7 @@ from repro.core.explore import explore_write_read_race
 from repro.sim.events import enabled_events
 from repro.core.setup import prepare_theorem_system
 from repro.sim.executor import (
-    BlobConfiguration,
+    SNAPSHOT_MODES,
     Configuration,
     DeepCopyConfiguration,
     SimCounters,
@@ -30,7 +29,7 @@ from repro.sim.scheduler import RoundRobinScheduler
 
 from helpers import Echo, Pinger
 
-MODES = ("bytes", "blob", "deepcopy")
+MODES = SNAPSHOT_MODES
 
 
 def proc_states(sim):
@@ -73,7 +72,7 @@ class TestSnapshotIsolation:
             run_some(sim, tsys)
             snap = sim.snapshot()
             frozen = proc_states(sim)
-            fp = sim.fingerprint(snap)
+            fp = sim.fingerprint()
             # mutate the live sim well past the snapshot
             run_some(sim, tsys, events=12)
             assert proc_states(sim) != frozen  # the run did change state
@@ -95,12 +94,12 @@ class TestSnapshotIsolation:
             sim.restore(snap)  # the snapshot must still be pristine
             assert proc_states(sim) == frozen
 
-    @pytest.mark.parametrize("mode", ["bytes", "blob"])
+    @pytest.mark.parametrize("mode", ["codec"])
     def test_materialized_views_are_private(self, mode):
-        # serialized modes only: a DeepCopyConfiguration hands out the
+        # encoded snapshots only: a DeepCopyConfiguration hands out the
         # held objects themselves (the old contract — restore forks,
-        # direct access aliases); the serialized snapshots materialize a
-        # private copy on every access
+        # direct access aliases); codec snapshots decode a private copy
+        # on every access
         with use_snapshot_mode(mode):
             tsys = prepare_theorem_system("wren")
             sim = tsys.sim
@@ -122,24 +121,15 @@ class TestSnapshotIsolation:
         fork = snap.fork()
         assert isinstance(snap, Configuration)
         # O(1): the per-component captures are shared, not copied
-        assert fork.proc_blobs is snap.proc_blobs
+        assert fork.procs is snap.procs
         assert fork.net_state is snap.net_state
         assert fork.size_bytes() == snap.size_bytes() > 0
 
-    def test_blob_mode_fork_shares_immutable_blob(self):
-        with use_snapshot_mode("blob"):
-            tsys = prepare_theorem_system("wren")
-            sim = tsys.sim
-            snap = sim.snapshot()
-            fork = snap.fork()
-            assert isinstance(snap, BlobConfiguration)
-            assert fork.blob is snap.blob  # O(1): no bytes are copied
-            assert fork.size_bytes() == snap.size_bytes() > 0
-
     def test_consecutive_snapshots_share_clean_components(self):
         # after one event, a new snapshot re-captures only the touched
-        # components; every clean sub-blob is the *same* object as the
-        # previous snapshot's
+        # components; every clean cell tuple is the *same* object as the
+        # previous snapshot's, and inside the touched component every
+        # untouched cell is too
         tsys = prepare_theorem_system("wren")
         sim = tsys.sim
         sim.invoke(tsys.cw, tsys.tw())
@@ -147,10 +137,17 @@ class TestSnapshotIsolation:
         snap1 = sim.snapshot()
         sim.step(tsys.cw)  # touches cw (and the network, via its sends)
         snap2 = sim.snapshot()
-        blobs1, blobs2 = dict(snap1.proc_blobs), dict(snap2.proc_blobs)
-        assert blobs1.keys() == blobs2.keys()
-        shared = [pid for pid in blobs1 if blobs1[pid] is blobs2[pid]]
-        assert set(blobs1) - set(shared) == {tsys.cw}
+        cells1 = {pid: cells for pid, _, cells in snap1.procs}
+        cells2 = {pid: cells for pid, _, cells in snap2.procs}
+        assert cells1.keys() == cells2.keys()
+        shared = [pid for pid in cells1 if cells1[pid] is cells2[pid]]
+        assert set(cells1) - set(shared) == {tsys.cw}
+        fresh = [
+            i
+            for i, (a, b) in enumerate(zip(cells1[tsys.cw], cells2[tsys.cw]))
+            if a is not b
+        ]
+        assert len(fresh) < len(cells1[tsys.cw])
 
     def test_delta_restore_touches_only_changed_components(self):
         # a backtrack after a single step re-materializes that process
@@ -161,7 +158,7 @@ class TestSnapshotIsolation:
         sim.invoke(tsys.cw, tsys.tw())
         run_some(sim, tsys)
         snap = sim.snapshot()
-        sim.fingerprint(snap)
+        sim.fingerprint()
         before = {pid: p for pid, p in sim.processes.items()}
         sim.step(tsys.cw)
         base = sim.counters.components_restored
@@ -204,7 +201,7 @@ class TestModeEquivalence:
                 r.truncated,
                 sorted(tuple(s) for s, _ in r.violations),
             )
-        assert results["bytes"] == results["deepcopy"] == results["blob"]
+        assert results["codec"] == results["deepcopy"]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ class TestSimCounters:
     def test_counters_track_snapshot_restore_fingerprint(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         snap = sim.snapshot()
-        sim.fingerprint(snap)
+        sim.fingerprint()
         sim.step("p")
         sim.restore(snap)
         c = sim.counters
@@ -229,7 +226,7 @@ class TestSimCounters:
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         sim.snapshot()
         before = sim.counters.bytes_serialized
-        sim.snapshot()  # no event in between: the cached blob is reused
+        sim.snapshot()  # no event in between: the cached cells are reused
         assert sim.counters.bytes_serialized == before
         assert sim.counters.cache_hits >= 1
         assert sim.counters.bytes_reused > 0
@@ -252,36 +249,59 @@ class TestSimCounters:
         assert sim.counters.bytes_restored > 0
 
     def test_byte_accumulation_arithmetic(self):
-        """The ledger's byte fields follow the component arithmetic.
+        """The ledger's byte fields follow the cell arithmetic.
 
-        A fresh snapshot pays exactly its own size in ``bytes_serialized``
-        (the network component is a zero-byte structural capture, so
-        ``size_bytes`` and the pickled process bytes coincide); a delta
-        restore pays ``bytes_restored`` only for the process sub-blobs it
-        actually reloads, and every component it touches lands in exactly
-        one of ``components_restored`` / ``components_reused``.
+        A fresh snapshot captures every component once (the network is
+        a zero-byte structural capture).  A restore that must rebuild a
+        process pays ``bytes_restored`` for that process's non-const
+        cells only; a snapshot after one event pays ``bytes_serialized``
+        for the one cell the event changed; and a restore against a
+        current live capture decodes only the differing cell.  Every
+        component a restore touches lands in exactly one of
+        ``components_restored`` / ``components_reused``.
         """
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         n_components = len(sim.processes) + 1  # + the network
         snap = sim.snapshot()
         c = sim.counters
-        assert c.bytes_serialized == snap.size_bytes()
         assert c.components_serialized == c.cache_misses == n_components
+        assert 0 < c.bytes_serialized < snap.size_bytes()
+        schema = sim._codec_ledgers["p"].schema
+        names = [f.name for f in schema]
+        cells = {pid: cells for pid, _, cells in snap.procs}["p"]
+
+        def restore_delta():
+            before = c.as_dict()
+            sim.restore(snap)
+            assert c.restores == before["restores"] + 1
+            loaded = c.components_restored - before["components_restored"]
+            kept = c.components_reused - before["components_reused"]
+            assert loaded + kept == n_components
+            # the step dirtied exactly "p" and the network; "e" stays live
+            assert (loaded, kept) == (2, n_components - 2)
+            return c.bytes_restored - before["bytes_restored"]
+
+        # a stale live row: "p" is rebuilt from all its non-const cells
         sim.step("p")
-        before = c.as_dict()
-        sim.restore(snap)
-        assert c.restores == before["restores"] + 1
-        loaded = c.components_restored - before["components_restored"]
-        kept = c.components_reused - before["components_reused"]
-        assert loaded + kept == n_components
-        # the step dirtied exactly "p" and the network; "e" stays live
-        assert (loaded, kept) == (2, n_components - 2)
-        delta = c.bytes_restored - before["bytes_restored"]
-        assert delta == len(dict(snap.proc_blobs)["p"])
+        assert restore_delta() == sum(
+            len(cell)
+            for cell, f in zip(cells, schema)
+            if f.kind != "const"
+        )
+        # one step changes one cell, and a snapshot pays for that cell
+        sim.step("p")
+        before = c.bytes_serialized
+        snap2 = sim.snapshot()
+        cells2 = {pid: cells for pid, _, cells in snap2.procs}["p"]
+        changed = [i for i, (a, b) in enumerate(zip(cells, cells2)) if a != b]
+        assert [names[i] for i in changed] == ["remaining"]
+        assert c.bytes_serialized - before == len(cells2[changed[0]])
+        # a current live row: only the differing cell is decoded
+        assert restore_delta() == len(cells[changed[0]])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_restore_reuse_consistency_across_modes(self, mode):
-        """``restore_reuses`` means zero byte traffic, in both byte modes.
+        """``restore_reuses`` means zero byte traffic.
 
         The deepcopy oracle is deliberately naive — it always rebuilds,
         so it must never claim a reuse (a reuse it *wrongly* claimed
@@ -304,9 +324,9 @@ class TestSimCounters:
             if mode != "deepcopy":  # deepcopy moves objects, not bytes
                 assert c.bytes_restored > before["bytes_restored"]
 
-    @pytest.mark.parametrize("mode", ["bytes", "blob"])
+    @pytest.mark.parametrize("mode", ["codec"])
     def test_snapshot_reuse_bytes_across_modes(self, mode):
-        """Back-to-back snapshots reuse serialization in both byte modes."""
+        """Back-to-back snapshots reuse their encoded cells."""
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
             sim.snapshot()
@@ -442,7 +462,7 @@ class TestFingerprintProperties:
         sim = fresh_sim()
         apply_choices(sim, choices)
         snap = sim.snapshot()
-        fp = sim.fingerprint(snap)
+        fp = sim.fingerprint()
         apply_choices(sim, [0, 1, 2])
         sim.restore(snap)
         assert sim.fingerprint() == fp
@@ -466,24 +486,24 @@ class TestNetCaptureBranchSoundness:
     second branch's snapshot and strict fingerprint.
     """
 
-    @pytest.mark.parametrize("mode", ("bytes", "codec"))
+    @pytest.mark.parametrize("mode", MODES)
     def test_sibling_branches_do_not_alias_captures(self, mode):
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("a", "b", n=3), Echo("b")])
             for _ in range(3):
                 sim.step("a")  # queue a->b now holds link_seq 0, 1, 2
             base = sim.snapshot()
-            sim.fingerprint(base)
+            sim.fingerprint()
             # branch A: deliver the head of the queue
             sim.deliver("a", "b", 0)
             snap_a = sim.snapshot()
-            fp_a = sim.fingerprint(snap_a)
+            fp_a = sim.fingerprint()
             # back out; branch B: deliver the *middle* message — same
             # length, same (shared) last element, different contents
             sim.restore(base)
             sim.deliver("a", "b", 1)
             snap_b = sim.snapshot()
-            fp_b = sim.fingerprint(snap_b)
+            fp_b = sim.fingerprint()
             q_a = [m.link_seq for m in snap_a.network.in_transit[("a", "b")]]
             q_b = [m.link_seq for m in snap_b.network.in_transit[("a", "b")]]
             assert q_a == [1, 2]
@@ -497,7 +517,7 @@ class TestNetCaptureBranchSoundness:
             fresh.deliver("a", "b", 1)
             assert fresh.fingerprint() == fp_b
 
-    @pytest.mark.parametrize("mode", ("bytes", "codec"))
+    @pytest.mark.parametrize("mode", MODES)
     def test_income_buffers_do_not_alias_captures(self, mode):
         """Same aliasing shape on the income buffers: both branches end
         by delivering the same (shared) message, so the buffers agree on
@@ -507,16 +527,16 @@ class TestNetCaptureBranchSoundness:
             for _ in range(3):
                 sim.step("a")
             base = sim.snapshot()
-            sim.fingerprint(base)
+            sim.fingerprint()
             sim.deliver("a", "b", 0)
             sim.deliver("a", "b", 2)
             snap_a = sim.snapshot()
-            fp_a = sim.fingerprint(snap_a)
+            fp_a = sim.fingerprint()
             sim.restore(base)
             sim.deliver("a", "b", 1)
             sim.deliver("a", "b", 2)
             snap_b = sim.snapshot()
-            fp_b = sim.fingerprint(snap_b)
+            fp_b = sim.fingerprint()
             assert fp_a != fp_b
             got_a = [m.link_seq for m in snap_a.network.income["b"]]
             got_b = [m.link_seq for m in snap_b.network.income["b"]]
