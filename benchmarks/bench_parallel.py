@@ -104,8 +104,6 @@ def _entry(seconds, r):
 
 
 def test_parallel_frontier_gate(benchmark, monkeypatch):
-    # benchmark the pool itself, not the auto-serial probe in front of it
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     report = {
         "protocol": PROTOCOL,
         "max_depth": DEPTH,
@@ -144,7 +142,6 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
         )
         local_s, local_only = _run(workers=4)
         monkeypatch.undo()
-        monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
         arm = _entry(local_s, local_only)
         del arm["shared_seen_hits"]  # no shared set in this arm
         report["arms"]["workers4_local_dedup"] = arm

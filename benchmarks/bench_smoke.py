@@ -40,13 +40,15 @@ BASELINES = {
         dict(states_visited=128, states_deduped=50,
              schedules_completed=4, violations=1, truncated=0),
     ),
-    # the POR-reduced scope is tiny, so the workers=2 request auto-serials
-    # (serial probe) and must reproduce the workers=1 counts exactly
-    "fastclaim dfs+por+w2": (
+    # the pool's exhaustive run walks the shared canonical closure, whose
+    # counts are schedule-independent (a first-violation pool run's
+    # counts depend on when the winning ordinal prunes the other tasks)
+    "fastclaim dfs+por+w2 exhaustive": (
         "fastclaim",
-        dict(max_depth=30, max_states=60_000, por=True, workers=2),
-        dict(states_visited=128, states_deduped=50,
-             schedules_completed=4, violations=1, truncated=0),
+        dict(max_depth=30, max_states=60_000, por=True, workers=2,
+             first_violation_only=False),
+        dict(states_visited=1_300, states_deduped=3_550,
+             schedules_completed=36, violations=18, truncated=0),
     ),
     "fastclaim dfs+por exhaustive": (
         "fastclaim",
@@ -178,6 +180,35 @@ def checker_smoke() -> bool:
     return ok
 
 
+def pool_first_violation_smoke() -> bool:
+    """The pool's first-violation path against the serial DFS.
+
+    A first-violation pool run's counts depend on when the winning
+    ordinal prunes the other tasks, so this arm checks what the pool
+    does promise: it really runs, reports exactly one violation,
+    truncates nothing, and the violation is the serial DFS's first
+    violating schedule.
+    """
+    kwargs = dict(max_depth=30, max_states=60_000, por=True)
+    serial = explore_write_read_race("fastclaim", **kwargs)
+    t0 = time.perf_counter()
+    r = explore_write_read_race("fastclaim", workers=2, **kwargs)
+    dt = time.perf_counter() - t0
+    got = dict(
+        pool=not r.auto_serial,
+        violations=len(r.violations),
+        truncated=r.truncated,
+        first_is_serial=r.violations[:1] == serial.violations[:1],
+    )
+    expect = dict(pool=True, violations=1, truncated=0, first_is_serial=True)
+    ok = got == expect
+    print(f"{'ok  ' if ok else 'FAIL'} fastclaim dfs+por+w2: {got} in {dt:.1f}s")
+    if not ok:
+        print(f"     expected {expect}")
+    print(f"     cost: {r.counters.describe()}")
+    return ok
+
+
 #: exact leaf count of the checker smoke scenario (machine-independent)
 EXPECT_CHECKS = 5_395
 
@@ -187,6 +218,7 @@ def main() -> int:
     failures += not fork_machinery_smoke()
     failures += not oracle_identity_smoke()
     failures += not checker_smoke()
+    failures += not pool_first_violation_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()
         r = explore_write_read_race(proto, **kwargs)

@@ -202,7 +202,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         workers=args.workers,
         incremental=False if args.batch_checker else None,
         checker_oracle=args.checker_oracle,
-        per_worker_budget=args.per_worker_budget,
         **_proto_params(args),
     )
     print(result.describe())
@@ -301,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--no-por", dest="por", action="store_false")
     e.add_argument("--workers", type=int, default=1,
                    help="parallel frontier worker processes (work-stealing)")
-    e.add_argument("--per-worker-budget", action="store_true",
-                   help="give each worker the full --max-states budget "
-                        "(pre-stealing behaviour) instead of one global cap")
     e.add_argument("--checker", choices=("causal", "read-atomic", "sessions"),
                    default="causal")
     e.add_argument("--batch-checker", action="store_true",

@@ -27,9 +27,12 @@ one frontier/strategy core over a common :class:`SearchNode`:
   is only skipped when a previous visit had a subset sleep set (i.e.
   explored at least as much).  See ``docs/model.md``.
 * **Parallel frontier** (``workers=N``) — :mod:`repro.engine.parallel`
-  fans DFS-preorder subtree roots out to ``multiprocessing`` workers;
-  snapshots are self-contained bytes and fingerprints are
-  hash-seed-independent, so results merge deterministically.
+  seeds DFS-preorder subtree roots with :meth:`SerialSearch.collect_frontier`
+  (the DFS itself, stopped at a cutoff depth) and hands them to a
+  work-stealing pool of ``multiprocessing`` workers.  Snapshots are
+  self-contained and fingerprints hash-seed-independent; every task
+  carries its global preorder ordinal and its ancestor path, so the
+  merge reproduces the serial DFS's first violation.
 
 The engine applies events exclusively through
 :meth:`repro.sim.events.Event.apply`; ``repro.lint`` rule RL405 keeps
@@ -81,6 +84,10 @@ class SearchNode:
     #: lexicographically smallest violating key is the serial DFS's
     #: first violation)
     key: Tuple[int, ...] = ()
+    #: ``(fingerprint, sleep)`` of every expanded node from the global
+    #: root down to this node's parent: the part of the serial DFS's
+    #: seen-set a task starting here must know (see ``SerialSearch``)
+    ancestors: Tuple[Tuple[bytes, FrozenSet[Event]], ...] = ()
 
 
 @dataclass
@@ -107,9 +114,9 @@ class ExplorationResult(SearchOutcome):
     strategy: str = "dfs"
     por: bool = False
     workers: int = 1
-    #: a ``workers > 1`` request answered serially because the fan-out
-    #: could not pay for itself (tiny scope or too few subtree roots —
-    #: see :mod:`repro.engine.parallel`)
+    #: a ``workers > 1`` request answered by one serial search because
+    #: the seeding walk found fewer than ``workers + 1`` subtree roots
+    #: (see :mod:`repro.engine.parallel`)
     auto_serial: bool = False
     #: parallel runs: subtree roots the seeding walk shipped to the pool
     #: (the work-stealing deque's initial population)
@@ -246,6 +253,7 @@ class SerialSearch:
         oracle: bool = False,
         ctx=None,
         canonical_keys: bool = False,
+        ancestors: Sequence[Tuple[bytes, FrozenSet[Event]]] = (),
     ):
         self.sim = sim
         self.pids = tuple(pids)
@@ -284,13 +292,22 @@ class SerialSearch:
         # serial DFS's first violation regardless of worker timing.
         self._path: List[int] = []
         #: per-violation global ordinal keys, parallel to the slice of
-        #: ``result.violations`` this search appended (parallel mode)
+        #: ``result.violations`` this search appended
         self.violation_keys: List[Tuple[int, ...]] = []
         # fingerprint -> sleep sets it was visited with.  A revisit is
         # skippable iff some previous visit slept on a *subset* of what
         # we would sleep on now (it explored at least as much).  Without
         # POR every sleep set is empty and this degenerates to a set.
         self._seen: dict = {}
+        # (fingerprint, sleep) of every expanded node above the current
+        # one.  A search that starts mid-tree (a pool task) is handed its
+        # root's ancestors and seeds its seen-set with them, so it dedups
+        # against them as the serial DFS would (see repro.engine.parallel)
+        self._ancestors: List[Tuple[bytes, FrozenSet[Event]]] = list(ancestors)
+        for anc_fp, anc_sleep in ancestors:
+            self._remember(anc_fp, anc_sleep)
+        #: frontier collection (``collect_frontier``): (cutoff, roots)
+        self._frontier: Optional[Tuple[int, List[SearchNode]]] = None
         self._trail: List[Event] = []
         # Incremental checking (DFS-shaped walks only: the checker's
         # checkpoint/rollback runs in lockstep with apply/restore, which
@@ -409,8 +426,7 @@ class SerialSearch:
         context with a *global* budget the state is counted only if the
         shared counter grants it, so the pool's total ``states_visited``
         can never exceed the requested cap no matter how many workers
-        run (the documented pre-stealing behaviour — N workers, N× the
-        cap — survives behind ``per_worker_budget=True``).
+        run.
         """
         r = self.result
         ctx = self.ctx
@@ -476,7 +492,9 @@ class SerialSearch:
         if anomalies:
             labels = list(self.trail_prefix) + [e.label for e in self._trail]
             r.violations.append((labels, anomalies))
-            if self.ctx is not None:
+            if self.ctx is None:
+                self.violation_keys.append(tuple(self._path))
+            else:
                 key = self.ctx.prefix + tuple(self._path)
                 self.violation_keys.append(key)
                 self.ctx.report_violation(key)
@@ -534,6 +552,17 @@ class SerialSearch:
             self._remember(fp, sleep)
             return
         self._remember(fp, sleep)
+        if self._frontier is not None and depth >= self._frontier[0]:
+            # a subtree root at the cutoff: remembered (so a duplicate
+            # reached later is pruned exactly as the serial DFS would)
+            # but not counted — the worker that expands it counts it
+            self._frontier[1].append(
+                SearchNode(
+                    snap, fp, tuple(self._trail), depth, sleep,
+                    key=tuple(self._path), ancestors=tuple(self._ancestors),
+                )
+            )
+            return
         if not self._count_state():
             return
         if depth >= self.max_depth:
@@ -547,6 +576,7 @@ class SerialSearch:
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
         )
+        self._ancestors.append((fp, sleep))
         prior: List[Event] = []
         for i, e in enumerate(explorable):
             child_sleep = self._child_sleep(sleep, prior, e)
@@ -557,10 +587,10 @@ class SerialSearch:
                 and ctx.want_publish(depth + 1)
             ):
                 # the deque is hungry: ship this child subtree (snapshot
-                # + trail + depth + sleep + global ordinal) back to the
-                # pool instead of exploring it here — a later sibling of
-                # work in progress, so local progress is never blocked.
-                # Not counted: the worker that expands it counts it.
+                # + trail + depth + sleep + global ordinal + ancestors)
+                # back to the pool instead of exploring it here — a later
+                # sibling of work in progress, so local progress is never
+                # blocked.  Not counted: the worker that expands it counts it.
                 e.apply(self.sim)
                 self._trail.append(e)
                 ctx.publish(
@@ -570,6 +600,7 @@ class SerialSearch:
                     self.trail_prefix
                     + tuple(ev.label for ev in self._trail),
                     ctx.prefix + tuple(self._path) + (i,),
+                    tuple(self._ancestors),
                 )
                 self._trail.pop()
                 self.sim.restore(snap)
@@ -596,10 +627,11 @@ class SerialSearch:
             self.sim.restore(snap)
             prior.append(e)
             if self.abort:
-                return
+                break
             if self.exhausted:
                 r.truncated += len(explorable) - 1 - i  # cut siblings
-                return
+                break
+        self._ancestors.pop()
 
     # -- frontier seeding (parallel mode) ---------------------------------
 
@@ -608,82 +640,15 @@ class SerialSearch:
     ) -> List[SearchNode]:
         """DFS-preorder roots at ``cutoff`` depth, leaves checked en route.
 
-        Identical to :meth:`run_dfs` above the cutoff; a node *at* the
-        cutoff is snapshotted and returned instead of expanded (and not
-        counted — the worker that expands it counts it).
+        The DFS itself, except that a node *at* the cutoff is
+        snapshotted and returned instead of expanded (and not counted —
+        the worker that expands it counts it).
         """
         roots: List[SearchNode] = []
-        self._seed(cutoff, depth, sleep, roots, ())
+        self._frontier = (min(cutoff, self.max_depth), roots)
+        self._dfs(depth, sleep, ())
+        self._frontier = None
         return roots
-
-    def _seed(
-        self,
-        cutoff: int,
-        depth: int,
-        sleep: FrozenSet[Event],
-        roots: List[SearchNode],
-        fresh: Sequence,
-    ) -> None:
-        r = self.result
-        events = enabled_events(self.sim, self.pids)
-        if not events:
-            if not self._count_state():
-                return
-            if clients_done(self.sim, self.clients):
-                if fresh:
-                    self._delta_consume(fresh)
-                self._check_leaf()
-            return
-        snap = self.sim.snapshot()
-        fp = self._fingerprint()
-        if self._covered(fp, sleep):
-            r.states_deduped += 1
-            return
-        if depth >= cutoff or depth >= self.max_depth:
-            # a subtree root: remembered (so a duplicate reached later in
-            # the seeding walk is pruned exactly as the serial DFS would)
-            # but not counted — its worker counts it on entry.
-            self._remember(fp, sleep)
-            roots.append(
-                SearchNode(
-                    snap, fp, tuple(self._trail), depth, sleep,
-                    key=tuple(self._path),
-                )
-            )
-            return
-        self._remember(fp, sleep)
-        if not self._count_state():
-            return
-        if fresh:
-            self._delta_consume(fresh)
-        explorable = (
-            [e for e in events if e not in sleep] if self.por else events
-        )
-        prior: List[Event] = []
-        for i, e in enumerate(explorable):
-            child_sleep = self._child_sleep(sleep, prior, e)
-            e.apply(self.sim)
-            self._trail.append(e)
-            self._path.append(i)
-            ck = (
-                self._delta_collect(e.pid)
-                if self.incremental
-                and e.__class__ is Step
-                and e.pid in self._client_set
-                else None
-            )
-            self._seed(cutoff, depth + 1, child_sleep, roots, ck[1] if ck else ())
-            if ck is not None:
-                self._delta_rollback(ck[0])
-            self._path.pop()
-            self._trail.pop()
-            self.sim.restore(snap)
-            prior.append(e)
-            if self.abort:
-                return
-            if self.exhausted:
-                r.truncated += len(explorable) - 1 - i
-                return
 
     # -- BFS ---------------------------------------------------------------
 
@@ -818,7 +783,6 @@ def run(
     rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
-    per_worker_budget: bool = False,
 ) -> ExplorationResult:
     """Explore every schedule of ``system``'s current configuration.
 
@@ -828,10 +792,7 @@ def run(
     sleep-set partial-order reduction; ``workers > 1`` runs the
     work-stealing frontier (see :mod:`repro.engine.parallel`).
     ``max_states`` is a *global* budget — the pool's total
-    ``states_visited`` never exceeds it regardless of ``workers``;
-    ``per_worker_budget=True`` restores the pre-stealing per-worker
-    budget (each worker gets the full cap — kept for benchmark
-    comparisons against the old pool).
+    ``states_visited`` never exceeds it regardless of ``workers``.
 
     ``incremental=None`` (the default) uses the delta checkers on DFS
     walks and the batch scan elsewhere; ``False`` forces the batch scan
@@ -877,7 +838,6 @@ def run(
             result=result,
             incremental=use_inc,
             oracle=checker_oracle,
-            per_worker_budget=per_worker_budget,
         )
     search = SerialSearch(
         sim,

@@ -14,12 +14,14 @@ exactly once, merge at the end) with three cooperating pieces:
 * **A shared deque of subtree roots.**  The parent runs the ordinary
   serial search truncated at a shallow cutoff, collects the DFS-preorder
   frontier, and enqueues every root (delta snapshot + trail + depth +
-  sleep set + *ordinal*).  Long-lived workers pull roots until the deque
-  drains; a worker whose queue-side supply runs low is fed by…
+  sleep set + *ordinal* + *ancestor path*).  Long-lived workers pull
+  roots until the deque drains; a worker whose queue-side supply runs
+  low is fed by…
 * **Publication (the "steal" half).**  A worker that sees the deque
   hungrier than the pool (fewer queued roots than workers) publishes the
   later siblings of its in-progress work back to the deque — snapshot,
-  trail, depth, sleep set, ordinal — instead of exploring them locally.
+  trail, depth, sleep set, ordinal, ancestor path — instead of
+  exploring them locally.
   A heavy subtree is therefore *split across the pool while it runs*
   rather than pinning one core, which is the whole point: the old pool's
   wall-clock was the weight of the heaviest subtree.
@@ -43,7 +45,9 @@ winner is the lowest ordinal regardless of which worker found it first
 in wall-clock — bit-identical to the serial DFS's first violation, since
 preorder *is* ordinal order.  Workers prune any subtree whose ordinal
 prefix exceeds the best known violation, so the speculative overshoot
-stays bounded.  Counts merge by summation: with the shared claim set
+stays bounded; a violation the seeding walk meets above its cutoff only
+seeds that bound, since the roots collected before it precede it in
+preorder and still run.  Counts merge by summation: with the shared claim set
 each fingerprint is expanded exactly once pool-wide, so on exhaustive
 runs (no budget/depth truncation) the totals are schedule-independent —
 without POR they equal the serial run's exactly; with POR a
@@ -51,43 +55,42 @@ fingerprint revisited under incomparable sleep sets may land in two
 workers' local dicts, so ``states_visited`` may (rarely) differ from
 serial by a handful of re-expansions, never anomalies or verdicts.
 
+**Ancestor paths.**  Every task also carries the ``(fingerprint,
+sleep)`` of each expanded node from the global root down to its parent,
+and the worker seeds the task's local seen-set with them.  The serial
+DFS dedups a node against its own ancestors — an event can leave the
+print unchanged — and an ancestor's subtree runs on past the node in
+preorder; a task that did not know its ancestors would explore a copy
+of that subtree under a lower ordinal and could report a violation the
+serial DFS reaches later.  Earlier *non-ancestor* visits need no
+shipping: their subtrees precede the task in preorder, so whatever they
+hold already sorts first.  With the path shipped, the pool's first
+violation is the serial DFS's.
+
 **Budget.**  ``max_states`` is a *global* budget: workers draw chunks
-from one shared counter, so ``workers=N`` can no longer visit N× the
-requested cap (the old per-worker behaviour survives behind
-``per_worker_budget=True`` for benchmark comparisons).  When the global
-budget binds, *which* states were visited is scheduling-dependent — the
-run is truncated either way (``exhausted``); bit-identity claims apply
-to exhaustive runs, same as the depth budget.
+from one shared counter, so ``workers=N`` never visits more than the
+requested cap.  When the global budget binds, *which* states were
+visited is scheduling-dependent — the run is truncated either way
+(``exhausted``); bit-identity claims apply to exhaustive runs, same as
+the depth budget.
 
-Two guards keep the fan-out from costing more than it saves:
-
-* **Root dedup** — before shipping, roots are deduped by *canonical*
-  fingerprint (same sleep-subset rule as the seen-set); without POR the
-  canonical prints are recomputed in one restore sweep ordered by
-  snapshot sharing (:func:`sweep_order`) so the recompute cost is one
-  delta-restore chain, not ``O(roots × full restore)``.
-* **Auto-serial fallback** — a ``workers > 1`` request is answered
-  serially (``result.auto_serial``) when the fan-out cannot pay for pool
-  spin-up: a deterministic serial probe capped at
-  :data:`SERIAL_PROBE_STATES` (overridable via the
-  ``SERIAL_PROBE_STATES`` environment variable; CI sets ``0`` to force
-  the pool) settles trivially small scopes outright, and a seeding walk
-  that finds fewer than ``workers + 1`` roots falls back to one full
-  serial search.  Both produce the serial result *by construction*.
+**Auto-serial fallback.**  A ``workers > 1`` request whose seeding walk
+finds fewer than ``workers + 1`` roots is answered by one full serial
+search (``result.auto_serial``): the pool would mostly idle.  The
+answer is the serial result by construction.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue as queue_mod
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.core import ExplorationResult, SerialSearch, resolve_checker
 from repro.engine.seenset import make_seen_set
-from repro.sim.executor import Configuration, SimCounters, Simulation
+from repro.sim.executor import SimCounters, Simulation
 
 #: target number of subtree roots per worker for the *initial* seeding
 #: (stealing rebalances later, so this only needs to cover start-up)
@@ -95,14 +98,6 @@ ROOTS_PER_WORKER = 4
 
 #: never seed deeper than this: each extra level multiplies seeding work
 MAX_CUTOFF = 10
-
-#: the auto-serial probe budget: a scope that a serial search finishes
-#: within this many states is cheaper to answer serially than to ship to
-#: a pool (process spin-up alone dwarfs the work).  Set to 0 to disable
-#: the probe (tests and the CI steal-path smoke arm use this to force
-#: the pool path); the SERIAL_PROBE_STATES environment variable
-#: overrides the default at import time.
-SERIAL_PROBE_STATES = int(os.environ.get("SERIAL_PROBE_STATES", "4096"))
 
 #: a worker publishes later siblings back to the deque only after this
 #: many locally-expanded states since its previous publication — the
@@ -132,6 +127,27 @@ def _encode_key(key: Sequence[int]) -> bytes:
     DFS preorder.
     """
     return b"".join(i.to_bytes(2, "big") for i in key)
+
+
+def _task_payload(
+    snapshot,
+    depth: int,
+    sleep,
+    trail_labels: Tuple[str, ...],
+    key: Tuple[int, ...],
+    ancestors: Tuple,
+) -> bytes:
+    """One deque task: a subtree root and everything its search needs."""
+    return pickle.dumps(
+        {
+            "root": snapshot,
+            "depth": depth,
+            "sleep": sleep,
+            "trail_prefix": trail_labels,
+            "key": key,
+            "ancestors": ancestors,
+        }
+    )
 
 
 class GlobalBudget:
@@ -276,15 +292,10 @@ class WorkerContext:
         sleep,
         trail_labels: Tuple[str, ...],
         key: Tuple[int, ...],
+        ancestors: Tuple,
     ) -> None:
-        payload = pickle.dumps(
-            {
-                "root": snapshot,
-                "depth": depth,
-                "sleep": sleep,
-                "trail_prefix": trail_labels,
-                "key": key,
-            }
+        payload = _task_payload(
+            snapshot, depth, sleep, trail_labels, key, ancestors
         )
         with self.outstanding.get_lock():
             self.outstanding.value += 1
@@ -301,28 +312,6 @@ class WorkerContext:
             self.best.offer(_encode_key(key))
 
 
-class _SeedingContext:
-    """The parent's seeding-walk context: record violation ordinals only.
-
-    The seeding walk is serial — no budget, no shared set, no stealing —
-    but its leaf violations must carry ordinals so they merge into the
-    same global preorder as the workers'.
-    """
-
-    prefix: Tuple[int, ...] = ()
-    seen = None
-    budget = None
-
-    def want_publish(self, depth: int) -> bool:
-        return False
-
-    def pruned(self, path) -> bool:
-        return False
-
-    def report_violation(self, key) -> None:
-        pass
-
-
 def _task_done(outstanding, task_q, workers: int) -> None:
     """Retire one task; the retirer of the last task releases the pool."""
     with outstanding.get_lock():
@@ -330,6 +319,45 @@ def _task_done(outstanding, task_q, workers: int) -> None:
         if outstanding.value == 0:
             for _ in range(workers):
                 task_q.put(None)
+
+
+def _explore_task(
+    sim: Simulation, boot: dict, spec, ctx, args: dict
+) -> SerialSearch:
+    """Explore one task's subtree on ``sim``: a worker's unit of work.
+
+    The subtree root's checker state is rebuilt from the shipped
+    snapshot (``SerialSearch`` primes the incremental checker from the
+    sim's current configuration), its seen-set starts from the root's
+    ancestor path, and its ordinals and trail labels continue the
+    task's own.
+    """
+    sim.restore(args["root"])
+    result = ExplorationResult(
+        protocol=boot["protocol"], strategy=boot["strategy"], por=boot["por"]
+    )
+    key = tuple(args["key"])
+    ctx.prefix = key
+    search = SerialSearch(
+        sim,
+        boot["pids"],
+        boot["clients"],
+        result,
+        spec,
+        boot["max_depth"],
+        boot["max_states"],
+        boot["first_violation_only"],
+        boot["por"],
+        rng_seed=boot["rng_seed"] + (key[0] if key else 0),
+        trail_prefix=tuple(args["trail_prefix"]),
+        incremental=boot["incremental"],
+        oracle=boot["oracle"],
+        ctx=ctx,
+        canonical_keys=boot["canonical_keys"],
+        ancestors=args["ancestors"],
+    )
+    search.run(boot["strategy"], depth=args["depth"], sleep=args["sleep"])
+    return search
 
 
 def _worker_main(
@@ -391,37 +419,8 @@ def _worker_main(
                 if publisher >= 0 and publisher != worker_id:
                     sim.counters.steals += 1
                 agg["tasks"] += 1
-                sim.restore(args["root"])
-                result = ExplorationResult(
-                    protocol=boot["protocol"],
-                    strategy=boot["strategy"],
-                    por=boot["por"],
-                )
-                ctx.prefix = tuple(args["key"])
-                # the subtree root's checker state is rebuilt here from
-                # the shipped snapshot (SerialSearch primes the
-                # incremental checker from the sim's current
-                # configuration); the subtree is then pure deltas
-                search = SerialSearch(
-                    sim,
-                    boot["pids"],
-                    boot["clients"],
-                    result,
-                    spec,
-                    boot["max_depth"],
-                    boot["max_states"],
-                    first_violation_only,
-                    boot["por"],
-                    rng_seed=boot["rng_seed"] + (args["key"][0] if args["key"] else 0),
-                    trail_prefix=tuple(args["trail_prefix"]),
-                    incremental=boot["incremental"],
-                    oracle=boot["oracle"],
-                    ctx=ctx,
-                    canonical_keys=boot["canonical_keys"],
-                )
-                search.run(
-                    boot["strategy"], depth=args["depth"], sleep=args["sleep"]
-                )
+                search = _explore_task(sim, boot, spec, ctx, args)
+                result = search.result
                 agg["states_visited"] += result.states_visited
                 agg["states_deduped"] += result.states_deduped
                 agg["schedules_completed"] += result.schedules_completed
@@ -429,9 +428,9 @@ def _worker_main(
                 agg["checks"] += result.checks
                 agg["checker_seconds"] += result.checker_seconds
                 agg["exhausted"] = agg["exhausted"] or search.exhausted
-                keys = list(search.violation_keys)
-                for seq, (labels, anomalies) in enumerate(result.violations):
-                    key = keys[seq] if seq < len(keys) else tuple(args["key"])
+                for seq, (key, (labels, anomalies)) in enumerate(
+                    zip(search.violation_keys, result.violations)
+                ):
                     agg["violations"].append(
                         (_encode_key(key), seq, labels, anomalies)
                     )
@@ -465,7 +464,6 @@ def run_parallel(
     result: ExplorationResult,
     incremental: bool = False,
     oracle: bool = False,
-    per_worker_budget: bool = False,
 ) -> ExplorationResult:
     """Explore ``system`` with a work-stealing pool of ``workers``."""
     sim = system.sim
@@ -506,76 +504,33 @@ def run_parallel(
     use_shared = canon and not first_violation_only
     work_por = por and not use_shared
 
-    def _serial(budget: int) -> SerialSearch:
-        """One fresh full serial search from the root (auto-serial paths)."""
+    def fresh_search(search_por: bool, canonical_keys: bool) -> SerialSearch:
+        """A search positioned at the root, with its own result."""
         sim.restore(root_snap)
-        partial = ExplorationResult(
-            protocol=result.protocol,
-            strategy=strategy,
-            por=por,
-            workers=workers,
-        )
-        s = SerialSearch(
+        return SerialSearch(
             sim,
             pids,
             clients,
-            partial,
+            ExplorationResult(
+                protocol=result.protocol, strategy=strategy, por=por
+            ),
             spec,
             max_depth,
-            budget,
+            max_states,
             first_violation_only,
-            por,
+            search_por,
             rng_seed=rng_seed,
             incremental=incremental,
             oracle=oracle,
+            canonical_keys=canonical_keys,
         )
-        s.run(strategy, depth=0)
-        return s
-
-    # a cheap deterministic probe: tiny scopes are answered serially
-    # outright — pool spin-up alone costs more than exploring a few
-    # thousand states on the delta-restore path.  The probe IS the
-    # serial run (same strategy, same seeds), so returning its result
-    # matches ``workers=1`` bit for bit.
-    if SERIAL_PROBE_STATES > 0:
-        probe = _serial(min(max_states, SERIAL_PROBE_STATES))
-        if probe.abort or not probe.exhausted or SERIAL_PROBE_STATES >= max_states:
-            # settled: first violation found, scope finished within the
-            # probe budget, or the probe budget already was the caller's
-            _finalize(result, probe.result, probe, sim)
-            result.auto_serial = True
-            return result
-        # scope outlives the probe: discard its counts (the pool recounts
-        # from scratch; only SimCounters byte totals keep accumulating)
 
     # grow the cutoff until the frontier is wide enough to balance the
     # pool; each pass restarts from the root (shallow passes are cheap)
     roots = []
     search: Optional[SerialSearch] = None
     for cutoff in range(1, min(max_depth, MAX_CUTOFF) + 1):
-        sim.restore(root_snap)
-        partial = ExplorationResult(
-            protocol=result.protocol,
-            strategy=strategy,
-            por=por,
-            workers=workers,
-        )
-        search = SerialSearch(
-            sim,
-            pids,
-            clients,
-            partial,
-            spec,
-            max_depth,
-            max_states,
-            first_violation_only,
-            work_por,
-            rng_seed=rng_seed,
-            incremental=incremental,
-            oracle=oracle,
-            ctx=_SeedingContext(),
-            canonical_keys=use_shared,
-        )
+        search = fresh_search(work_por, use_shared)
         roots = search.collect_frontier(cutoff)
         if (
             search.abort
@@ -586,22 +541,22 @@ def run_parallel(
             break
     assert search is not None
     partial = search.result
-    if search.abort or search.exhausted or not roots:
-        # the seeding walk already settled it (violation above the
-        # cutoff, budget spent, or the whole scope is shallower than the
-        # cutoff): the parent's serial prefix is the complete answer
+    if search.exhausted or not roots:
+        # the seeding walk already settled it (budget spent, or nothing
+        # left below the cutoff — the scope is shallower, or a violation
+        # above the cutoff came before any root in preorder): the
+        # parent's serial prefix is the complete answer
         _finalize(result, partial, search, sim)
         return result
 
     if len(roots) < workers + 1:
         # not enough subtrees to keep the pool busy: one serial run is
         # cheaper than spinning up workers that would mostly idle
-        fallback = _serial(max_states)
+        fallback = fresh_search(por, False)
+        fallback.run(strategy)
         _finalize(result, fallback.result, fallback, sim)
         result.auto_serial = True
         return result
-
-    roots = _dedup_roots(sim, roots, por or use_shared, partial)
 
     ctx = _mp_context()
     seen = None
@@ -619,22 +574,24 @@ def run_parallel(
         for fp in search.universal_fingerprints():
             if fp not in root_fps:
                 seen.claim(fp)
-    budget = None
-    if not per_worker_budget:
-        budget = GlobalBudget(max_states - partial.states_visited, ctx)
+    budget = GlobalBudget(max_states - partial.states_visited, ctx)
     best = BestViolation(ctx) if first_violation_only else None
+    if best is not None and search.violation_keys:
+        # the seeding walk stopped at a violation above the cutoff; the
+        # roots it collected precede it in preorder and may hold the
+        # serial DFS's first violation, so they still run — pruned by it
+        best.offer(_encode_key(search.violation_keys[0]))
     task_q = ctx.Queue()
     result_q = ctx.Queue()
     outstanding = ctx.Value("l", len(roots))
     for node in roots:
-        payload = pickle.dumps(
-            {
-                "root": node.snapshot,
-                "depth": node.depth,
-                "sleep": node.sleep,
-                "trail_prefix": tuple(e.label for e in node.trail),
-                "key": node.key,
-            }
+        payload = _task_payload(
+            node.snapshot,
+            node.depth,
+            node.sleep,
+            tuple(e.label for e in node.trail),
+            node.key,
+            node.ancestors,
         )
         task_q.put((_encode_key(node.key), -1, payload))
     boot_payload = pickle.dumps(
@@ -732,101 +689,6 @@ def run_parallel(
     result.roots_shipped = len(roots)
     result.shared_seen_hits = sim.counters.shared_seen_hits
     return result
-
-
-def sweep_order(signatures: Sequence[Tuple]) -> List[int]:
-    """The restore order that maximizes consecutive snapshot sharing.
-
-    ``signatures[i]`` is root *i*'s component signature — one opaque
-    token per component (in practice the identity of each per-process
-    cell tuple plus the network capture).  A delta restore reloads exactly
-    the components whose token differs from the live one, so the cost of
-    fingerprinting all roots is the sum of *adjacent differences* along
-    the sweep.  Greedy nearest-neighbour: start at root 0 (the live sim
-    just produced it), repeatedly hop to the unvisited root sharing the
-    most component tokens with the current one; ties break to the lowest
-    index so the order is deterministic.  Pure function — unit-testable
-    without a simulation.
-    """
-    n = len(signatures)
-    if n <= 2:
-        return list(range(n))
-    remaining = set(range(1, n))
-    order = [0]
-    cur = signatures[0]
-    while remaining:
-        best_idx, best_shared = -1, -1
-        for idx in sorted(remaining):
-            sig = signatures[idx]
-            shared = sum(1 for a, b in zip(cur, sig) if a is b or a == b)
-            if shared > best_shared:
-                best_idx, best_shared = idx, shared
-        order.append(best_idx)
-        remaining.discard(best_idx)
-        cur = signatures[best_idx]
-    return order
-
-
-def _snapshot_signature(snapshot) -> Tuple:
-    """Identity tokens of a snapshot's components (for sweep_order).
-
-    One token per process cell tuple plus one for the network capture:
-    snapshots share a component's capture by reference exactly when the
-    component did not change between them.
-    """
-    if not isinstance(snapshot, Configuration):
-        return (id(snapshot),)  # deepcopy snapshots share nothing
-    return tuple(id(cells) for _, _, cells in snapshot.procs) + (
-        id(snapshot.net_state),
-    )
-
-
-def _dedup_roots(
-    sim: Simulation,
-    roots: List,
-    canonical: bool,
-    partial: ExplorationResult,
-) -> List:
-    """Drop frontier roots whose subtree another shipped root covers.
-
-    Keyed on the *canonical* fingerprint: when the seeding walk already
-    keyed canonically (POR, or ``canonical_keys`` parallel seeding)
-    ``node.fingerprint`` is reused; otherwise (strict-keyed seeding:
-    ``por_safe=False`` protocols) the canonical print is recomputed per
-    root.  The recompute batch
-    runs as a single restore sweep in :func:`sweep_order` — roots whose
-    snapshots share component captures restore consecutively, so
-    each hop reloads (and re-fingerprints) only the components that
-    actually differ, instead of paying a full restore per root in list
-    order.  The keep/drop decision then replays in the *original*
-    DFS-preorder: a later root is dropped iff an earlier kept root has
-    the same canonical print and slept on a subset of the later one's
-    sleep set (it explores at least as much); earlier wins so the
-    DFS-preorder first-violation guarantee is untouched.  Drops are
-    counted in ``states_deduped``, exactly as the serial canonical
-    quotient counts the revisit each corresponds to.
-    """
-    fps: Dict[int, bytes] = {}
-    if canonical:
-        for i, node in enumerate(roots):
-            fps[i] = node.fingerprint
-    else:
-        order = sweep_order([_snapshot_signature(n.snapshot) for n in roots])
-        for i in order:
-            node = roots[i]
-            sim.restore(node.snapshot)
-            fps[i] = sim.fingerprint(canonical=True)
-    kept: List = []
-    seen: Dict[bytes, List] = {}
-    for i, node in enumerate(roots):
-        fp = fps[i]
-        prior = seen.get(fp)
-        if prior is not None and any(s <= node.sleep for s in prior):
-            partial.states_deduped += 1
-            continue
-        seen.setdefault(fp, []).append(node.sleep)
-        kept.append(node)
-    return kept
 
 
 def _finalize(

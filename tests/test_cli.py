@@ -103,9 +103,8 @@ class TestCliExplore:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        # the POR-reduced scope is tiny, so the workers request is
-        # answered serially — and the describe line says so
-        assert "[dfs+por+workers=2(auto-serial)]" in out
+        # the seeding frontier is wider than the pool, so the pool runs
+        assert "[dfs+por+workers=2]" in out
         assert "no causal violation in scope" in out
 
     def test_explore_strategy_and_checker_knobs(self, capsys):

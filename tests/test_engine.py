@@ -120,17 +120,19 @@ def test_workers_bit_identical_first_violation():
 
 
 def test_workers_auto_serial_on_tiny_scope():
-    """A tiny scope answers a ``workers=2`` request serially.
+    """A frontier narrower than the pool is answered serially.
 
-    The POR-reduced fastclaim scope is ~128 states — far below the
-    serial probe budget — so the parallel wrapper must skip the pool and
-    return the serial result verbatim: same counts, same first
-    violation, flagged ``auto_serial``.
+    At depth 2 the POR-reduced fastclaim seeding walk can cut no deeper
+    than depth 2, where it finds 5 subtree roots — fewer than
+    ``workers + 1`` for a 5-worker request — so the parallel wrapper
+    must skip the pool and return one serial search verbatim: same
+    counts, same violations, flagged ``auto_serial``.
     """
-    kw = dict(max_depth=30, max_states=60_000, por=True)
+    kw = dict(max_depth=2, max_states=60_000, por=True)
     serial = explore_write_read_race("fastclaim", workers=1, **kw)
-    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+    fanned = explore_write_read_race("fastclaim", workers=5, **kw)
     assert fanned.auto_serial and not serial.auto_serial
+    assert fanned.roots_shipped == 0
     assert "(auto-serial)" in fanned.describe()
     assert (
         fanned.states_visited,
@@ -146,16 +148,12 @@ def test_workers_auto_serial_on_tiny_scope():
     assert fanned.violations == serial.violations
 
 
-def test_workers_pool_path_forced(monkeypatch):
-    """With the probe disabled the pool really runs — and still matches.
+def test_workers_pool_path_forced():
+    """The pool really runs on a small scope — and still matches.
 
-    Guards the pool machinery itself now that small scopes normally
-    auto-serial: verdict, anomaly union and the bit-identical first
-    violation must survive the fan-out.
+    Verdict, anomaly union and the bit-identical first violation must
+    survive the fan-out.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(max_depth=30, max_states=60_000, por=True)
     serial = explore_write_read_race("fastclaim", workers=1, **kw)
     fanned = explore_write_read_race("fastclaim", workers=2, **kw)
@@ -164,37 +162,172 @@ def test_workers_pool_path_forced(monkeypatch):
     assert fanned.violations[0] == serial.violations[0]
 
 
-def test_workers_root_dedup_on_strict_keyed_seeding(monkeypatch):
-    """Strict-keyed frontier roots are deduped by canonical fingerprint.
+def test_workers_root_dedup_on_strict_keyed_seeding():
+    """Strict-keyed first-violation pool runs report serial's witness.
 
     A first-violation run seeds with strict keys (no shared claim set),
     so roots reached by different orders of commuting events look
-    distinct; the pre-ship dedup must recompute canonical prints (via
-    the batched restore sweep) and collapse them — fewer payloads, same
-    first violation as serial.
+    distinct and are all shipped; the merge must still pick the serial
+    DFS's first violating schedule.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    shipped = {}
-    orig = parallel._dedup_roots
-
-    def spy(sim, roots, canonical, partial):
-        kept = orig(sim, roots, canonical, partial)
-        shipped["before"], shipped["after"] = len(roots), len(kept)
-        return kept
-
-    monkeypatch.setattr(parallel, "_dedup_roots", spy)
     kw = dict(max_depth=18, max_states=60_000, first_violation_only=True)
     serial = explore_write_read_race("fastclaim", workers=1, **kw)
     fanned = explore_write_read_race("fastclaim", workers=2, **kw)
     assert not fanned.auto_serial
-    assert shipped["after"] < shipped["before"]  # dedup actually bites
     assert serial.violation_found and fanned.violation_found
     assert fanned.violations[0][0] == serial.violations[0][0]
 
 
-def test_workers_shared_quotient_deterministic(monkeypatch):
+class _PublishingContext:
+    """A single-process stand-in for ``parallel.WorkerContext``.
+
+    Publishes every later sibling down to ``publish_depth`` into a FIFO
+    list (through the pool's own payload encoding) and prunes by the
+    lowest violation ordinal seen so far, as the pool's shared register
+    does — no processes, so the run is fully deterministic.
+    """
+
+    seen = None
+    budget = None
+
+    def __init__(self, publish_depth):
+        self.publish_depth = publish_depth
+        self.prefix = ()
+        self.tasks = []
+        self.best = None
+
+    def want_publish(self, depth):
+        return depth <= self.publish_depth
+
+    def publish(self, snapshot, depth, sleep, trail_labels, key, ancestors):
+        import pickle
+
+        from repro.engine import parallel
+
+        self.tasks.append(
+            pickle.loads(
+                parallel._task_payload(
+                    snapshot, depth, sleep, trail_labels, key, ancestors
+                )
+            )
+        )
+
+    def beats(self, key):
+        return self.best is not None and self.best <= key
+
+    def pruned(self, path):
+        return self.beats(self.prefix + tuple(path))
+
+    def report_violation(self, key):
+        if not self.beats(key):
+            self.best = key
+
+
+def test_published_tasks_dedup_against_their_ancestors():
+    """Deterministic replay of the first-violation race in the pool.
+
+    On the strict-keyed fastclaim race, ``step cw`` can leave the print
+    unchanged, so the serial DFS dedups such a child against its parent.
+    Here a stub context publishes later siblings at shallow depths and
+    every published task runs through the workers' own task routine,
+    publishing grandchildren in turn.  A task whose root print equals
+    one of its ancestors' must be deduped on entry, and the lowest
+    violation ordinal over all tasks must be the serial DFS's first
+    violation.  Without the shipped ancestor path such a task explores
+    a copy of its ancestor's subtree under a lower ordinal.
+    """
+    from repro.core.setup import prepare_theorem_system
+    from repro.engine import parallel
+    from repro.engine.core import SerialSearch, resolve_checker
+    from repro.txn.types import read_only_txn, write_only_txn
+
+    kw = dict(max_depth=18, max_states=60_000, first_violation_only=True)
+    serial = explore_write_read_race("fastclaim", **kw)
+
+    tsys = prepare_theorem_system("fastclaim", n_probes=2)
+    sim = tsys.system.sim
+    sim.invoke(tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw"))
+    sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+    clients = tuple(tsys.system.clients)
+    boot = dict(
+        protocol="fastclaim",
+        strategy="dfs",
+        por=False,
+        pids=clients + tuple(tsys.system.service_pids),
+        clients=clients,
+        max_depth=kw["max_depth"],
+        max_states=kw["max_states"],
+        first_violation_only=True,
+        rng_seed=0,
+        incremental=True,
+        oracle=False,
+        canonical_keys=False,
+    )
+    spec = resolve_checker("causal")
+    ctx = _PublishingContext(publish_depth=10)
+    top = SerialSearch(
+        sim, boot["pids"], clients,
+        ExplorationResult(protocol="fastclaim"), spec,
+        kw["max_depth"], kw["max_states"], True, False,
+        incremental=True, ctx=ctx,
+    )
+    top.run("dfs")
+    searches = [top]
+    ancestor_dups = 0
+    while ctx.tasks:
+        args = ctx.tasks.pop(0)
+        if ctx.beats(args["key"]):
+            continue  # a lower-ordinal violation already exists
+        sim.restore(args["root"])
+        dup = sim.fingerprint() in {fp for fp, _ in args["ancestors"]}
+        search = parallel._explore_task(sim, boot, spec, ctx, args)
+        if dup:
+            ancestor_dups += 1
+            assert search.result.states_visited == 0, args["trail_prefix"]
+            assert search.result.states_deduped == 1, args["trail_prefix"]
+        searches.append(search)
+    assert ancestor_dups > 0  # the race's shape actually occurred
+    keyed = [
+        (key, labels)
+        for s in searches
+        for key, (labels, _) in zip(s.violation_keys, s.result.violations)
+    ]
+    assert keyed
+    assert min(keyed)[1] == serial.violations[0][0]
+
+
+@pytest.mark.parametrize("protocol", ["spanner", "wren"])
+def test_workers_strict_keys_for_non_por_safe(monkeypatch, protocol):
+    """``por_safe=False`` protocols are keyed strictly, end to end.
+
+    Their canonical prints are not a bisimulation (they branch on the
+    global step counter), so neither the seeding walk nor any worker
+    may compute one.  The spy raises in whichever process calls it —
+    workers are forked with it in place — and the verdict must equal
+    serial's.  The budget is large enough that the pool really runs.
+    """
+    from repro.sim.executor import Simulation
+
+    orig = Simulation.fingerprint
+    calls = []
+
+    def strict_only(self, canonical=False):
+        if canonical:
+            raise AssertionError("canonical fingerprint on a strict scope")
+        calls.append(1)
+        return orig(self, canonical)
+
+    monkeypatch.setattr(Simulation, "fingerprint", strict_only)
+    kw = dict(max_depth=14, max_states=5_000, first_violation_only=True)
+    serial = explore_write_read_race(protocol, workers=1, **kw)
+    fanned = explore_write_read_race(protocol, workers=2, **kw)
+    assert not fanned.auto_serial and fanned.roots_shipped > 0
+    assert calls  # the parent's seeding walk went through the spy
+    assert fanned.violation_found == serial.violation_found
+    assert fanned.violations[:1] == serial.violations[:1]
+
+
+def test_workers_shared_quotient_deterministic():
     """Exhaustive pool runs explore the shared canonical quotient.
 
     With the cross-worker claim set every canonical class is expanded
@@ -203,9 +336,6 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     and the anomaly union matches serial exactly.  The seeding walk
     keys canonically too, so duplicate roots never even materialize.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(max_depth=10, max_states=60_000, first_violation_only=False)
     serial = explore_write_read_race("fastclaim", workers=1, **kw)
     fanned = explore_write_read_race("fastclaim", workers=2, **kw)
@@ -228,92 +358,78 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     )
 
 
-def test_dedup_roots_sleep_subset_rule():
-    """The dedup drop rule mirrors the seen-set's sleep-subset logic.
+def test_workers_shared_quotient_deterministic_past_quiescence():
+    """The shared-quotient determinism, on a scope no depth cut reaches.
 
-    POR path is pure (uses ``node.fingerprint`` directly), so it unit
-    tests without a simulation: a later root falls only to an earlier
-    kept root with the same canonical print and a *subset* sleep set.
+    At depth 18 every fastclaim schedule quiesces (nothing truncated),
+    so the pool's counts are run-to-run identical, never above the
+    serial POR count, and its anomaly union is serial's.
     """
-    from types import SimpleNamespace
+    kw = dict(max_depth=18, max_states=60_000, first_violation_only=False)
+    serial = explore_write_read_race("fastclaim", workers=1, por=True, **kw)
+    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+    assert not fanned.auto_serial
+    assert fanned.truncated == 0 and not fanned.exhausted
+    assert fanned.violation_found == serial.violation_found
+    assert anomaly_union(fanned) == anomaly_union(serial)
+    assert fanned.states_visited <= serial.states_visited
+    assert fanned.shared_seen_hits > 0
+    again = explore_write_read_race("fastclaim", workers=2, **kw)
+    assert (
+        fanned.states_visited,
+        fanned.states_deduped,
+        fanned.schedules_completed,
+    ) == (
+        again.states_visited,
+        again.states_deduped,
+        again.schedules_completed,
+    )
 
-    from repro.engine.parallel import _dedup_roots
 
-    def node(fp, sleep=()):
-        return SimpleNamespace(fingerprint=fp, sleep=frozenset(sleep))
+def test_workers_seeding_violation_keeps_earlier_roots(monkeypatch):
+    """A violation the seeding walk meets above its cutoff is not final.
 
-    partial = ExplorationResult(protocol="x", strategy="dfs", por=True)
-    roots = [
-        node(b"A", {1}),       # kept: first occurrence
-        node(b"A", {1, 2}),    # dropped: {1} <= {1, 2}
-        node(b"A", set()),     # kept: {} is not a superset of {1}
-        node(b"B"),            # kept: new print
-        node(b"A", {2, 3}),    # dropped: covered by the kept {} visit
-    ]
-    kept = _dedup_roots(None, roots, True, partial)
-    assert [n.fingerprint for n in kept] == [b"A", b"A", b"B"]
-    assert [set(n.sleep) for n in kept] == [{1}, set(), set()]
-    assert partial.states_deduped == 2
-
-
-def test_sweep_order_maximizes_component_sharing():
-    """Pure unit test for the batched-recompute restore sweep.
-
-    Greedy nearest-neighbour over component signatures: start at root 0,
-    hop to the root sharing the most component tokens, ties to the
-    lowest index.  Signature tokens compare by identity-or-equality.
+    FastClaim's first violating schedule (serial DFS preorder) is 17
+    events long, but later ones are as short as 15.  Seeded at cutoff
+    15, the walk stops at a 15-event violation after collecting roots
+    that precede it in preorder — one of which holds the serial first
+    violation.  Those roots must still run, so the pool reports the
+    serial witness, not the seeding walk's.  The shallower passes are
+    skipped (each starts afresh from the root) by answering them with a
+    frontier too narrow to stop the cutoff from growing.
     """
-    from repro.engine.parallel import sweep_order
+    from repro.engine import parallel
 
-    # 0 shares 2 tokens with 2, one with 1 and 3; from 2 the best left
-    # is 3 (shares "c"); 1 comes last.
-    sigs = [
-        ("a", "b", "x"),
-        ("q", "r", "x"),
-        ("a", "b", "c"),
-        ("q", "b", "c"),
-    ]
-    assert sweep_order(sigs) == [0, 2, 3, 1]
-    # ties break low: 1 and 2 both share everything with 0
-    assert sweep_order([("a",), ("a",), ("a",)]) == [0, 1, 2]
-    # degenerate sizes pass through
-    assert sweep_order([]) == []
-    assert sweep_order([("a",)]) == [0]
-    assert sweep_order([("a",), ("b",)]) == [0, 1]
+    monkeypatch.setattr(parallel, "MAX_CUTOFF", 15)
+    monkeypatch.setattr(parallel, "ROOTS_PER_WORKER", 100_000)
+    stops = []
+    orig = parallel.SerialSearch.collect_frontier
 
+    def spy(self, cutoff, *args, **kwargs):
+        if cutoff < 15:
+            return [None]
+        roots = orig(self, cutoff, *args, **kwargs)
+        stops.append((self.abort, len(roots), self.result.violations[:1]))
+        return roots
 
-def test_snapshot_signature_tracks_changed_components():
-    """Two snapshots one event apart share every signature token except
-    the one component the event changed — so ``sweep_order`` sees the
-    sharing between codec snapshots."""
-    from helpers import Echo, Pinger
-    from repro.engine.parallel import _snapshot_signature
-    from repro.sim.executor import Simulation, use_snapshot_mode
-
-    sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
-    sim.step("p")  # a ping is now in transit
-    snap_a = sim.snapshot()
-    sim.deliver("p", "e")  # moves the ping: touches the network only
-    snap_b = sim.snapshot()  # both held: the id tokens stay unique
-    before, after = _snapshot_signature(snap_a), _snapshot_signature(snap_b)
-    assert len(before) == len(after) == len(sim.processes) + 1
-    assert [a == b for a, b in zip(before, after)] == [True, True, False]
-    # deep-copy snapshots share nothing component-wise: one opaque token
-    with use_snapshot_mode("deepcopy"):
-        assert len(_snapshot_signature(Simulation([Echo("e")]).snapshot())) == 1
+    monkeypatch.setattr(parallel.SerialSearch, "collect_frontier", spy)
+    kw = dict(max_depth=30, max_states=60_000, first_violation_only=True)
+    serial = explore_write_read_race("fastclaim", workers=1, **kw)
+    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+    aborted, n_roots, seeded = stops[-1]
+    assert aborted and n_roots > 2  # the walk stopped with roots in hand
+    assert seeded[0][0] != serial.violations[0][0]
+    assert not fanned.auto_serial and fanned.roots_shipped == n_roots
+    assert fanned.violations == serial.violations[:1]
 
 
-def test_global_budget_caps_pool(monkeypatch):
+def test_global_budget_caps_pool():
     """``max_states`` is one pool-wide budget, not per worker.
 
     The canonical quotient of the full-scope fastclaim scenario is ~1.3k
     states, so a 600-state cap must bind: the pool stops at <= 600
-    visits in total.  ``per_worker_budget=True`` restores the old
-    semantics — each worker gets the full cap — and visits more.
+    visits in total.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(
         max_depth=18, max_states=600, first_violation_only=False, workers=2
     )
@@ -321,14 +437,10 @@ def test_global_budget_caps_pool(monkeypatch):
     assert not pooled.auto_serial
     assert pooled.exhausted
     assert pooled.states_visited <= 600
-    legacy = explore_write_read_race(
-        "fastclaim", per_worker_budget=True, **kw
-    )
-    assert legacy.states_visited > pooled.states_visited
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_workers_steal_under_load_equivalence(monkeypatch, workers):
+def test_workers_steal_under_load_equivalence(workers):
     """Skewed load: stealing rebalances, the answer doesn't move.
 
     The full-scope fastclaim race is heavily skewed — subtrees under the
@@ -338,9 +450,6 @@ def test_workers_steal_under_load_equivalence(monkeypatch, workers):
     union, pool-wide visits never above serial, and the first-violation
     arm reports the bit-identical serial trace.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(max_depth=18, max_states=80_000, por=True)
     serial = explore_write_read_race(
         "fastclaim", first_violation_only=False, **kw

@@ -348,11 +348,8 @@ class TestSimCounters:
         a.merge(b)
         assert a.as_dict() == expect
 
-    def test_workers_counters_include_worker_traffic(self, monkeypatch):
+    def test_workers_counters_include_worker_traffic(self):
         """A pooled run's merged ledger carries the workers' restores."""
-        from repro.engine import parallel
-
-        monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
         serial = explore_write_read_race(
             "fastclaim", max_depth=12, max_states=4_000, por=True,
             first_violation_only=False,
