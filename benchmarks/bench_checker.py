@@ -94,6 +94,9 @@ def _run(protocol, n, max_depth, max_states, incremental):
             max_states=max_states,
             first_violation_only=False,
             incremental=incremental,
+            # the strict population the recorded leaf counts and the
+            # per-node gate were measured on
+            strict_keys=True,
         )
     finally:
         engine_core.SerialSearch._check_leaf = orig

@@ -1,7 +1,9 @@
 """The schema-codec acceptance gate: the production snapshot path.
 
 Runs the two seed write/read-race scenarios (FastClaim, which violates;
-COPS, which verifies) at full plain-DFS scope on the schema-codec path
+COPS, which verifies) at full plain-DFS scope, strict-keyed (the
+population the baseline recorded; exhaustive runs key canonically by
+default), on the schema-codec path
 (typed cells + incremental Merkle fingerprints, the only production
 snapshot mode) and asserts:
 
@@ -143,11 +145,13 @@ def test_codec_gates(benchmark):
     def run():
         for proto, depth, expect_violation in SCENARIOS:
             t0 = time.perf_counter()
+            # strict keys: the population BYTES_BASELINE recorded
             r = explore_write_read_race(
                 proto,
                 max_depth=depth,
                 max_states=80_000,
                 first_violation_only=False,
+                strict_keys=True,
             )
             dt = time.perf_counter() - t0
             assert r.violation_found == expect_violation, proto

@@ -5,7 +5,7 @@ Runs canonical model-checker workloads across the engine's knobs
 (codec) snapshot path and checks the exploration *counts* against the
 committed baseline: the state partition is a pure function of protocol
 state values (strict fingerprints) or of their trace-canonical quotient
-(POR fingerprints), so ``states_visited`` / ``states_deduped`` /
+(POR and exhaustive runs), so ``states_visited`` / ``states_deduped`` /
 ``schedules_completed`` are exact, machine-independent invariants — any
 drift means the fork/fingerprint/reduction machinery changed behaviour,
 not just speed.  Wall-clock time and the SimCounters cost ledger are
@@ -47,6 +47,14 @@ BASELINES = {
         "fastclaim",
         dict(max_depth=30, max_states=60_000, por=True, workers=2,
              first_violation_only=False),
+        dict(states_visited=1_300, states_deduped=3_550,
+             schedules_completed=36, violations=18, truncated=0),
+    ),
+    # an exhaustive serial run keys on the canonical print by default:
+    # the same closure the pool explores, so the two arms cross-check
+    "fastclaim dfs exhaustive": (
+        "fastclaim",
+        dict(max_depth=30, max_states=60_000, first_violation_only=False),
         dict(states_visited=1_300, states_deduped=3_550,
              schedules_completed=36, violations=18, truncated=0),
     ),
@@ -148,8 +156,11 @@ def checker_smoke() -> bool:
     and identical anomaly strings; the per-leaf checker cost is printed
     as a throughput ledger for eyeballing, never asserted.
     """
+    # strict keys: the 5,395-leaf population (exhaustive runs key
+    # canonically by default, 36 leaves)
     kwargs = dict(
-        max_depth=30, max_states=60_000, first_violation_only=False
+        max_depth=30, max_states=60_000, first_violation_only=False,
+        strict_keys=True,
     )
     inc = explore_write_read_race("fastclaim", **kwargs)
     bat = explore_write_read_race("fastclaim", incremental=False, **kwargs)

@@ -40,6 +40,7 @@ def explore(
     rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
+    strict_keys: bool = False,
 ) -> ExplorationResult:
     """Exhaustively explore every schedule of ``script`` on ``system``.
 
@@ -62,6 +63,13 @@ def explore(
     DFS walks use the incremental delta checkers by default
     (``incremental=False`` forces the batch scan; ``checker_oracle=True``
     cross-checks every leaf against it).
+
+    Exhaustive runs (``first_violation_only=False``) of POR-safe
+    protocols key the seen-set on the trace-canonical print even without
+    POR — same verdict and anomaly union, a fraction of the states (see
+    :func:`repro.engine.core.use_canonical_keys`).  ``strict_keys=True``
+    pins strict keys, the reference population; it raises with
+    ``por=True``.
     """
     sim = system.sim
     for client, txn in script:
@@ -78,6 +86,7 @@ def explore(
         rng_seed=rng_seed,
         incremental=incremental,
         checker_oracle=checker_oracle,
+        strict_keys=strict_keys,
     )
 
 
@@ -92,6 +101,7 @@ def explore_write_read_race(
     first_violation_only: bool = True,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
+    strict_keys: bool = False,
     **params,
 ) -> ExplorationResult:
     """The canonical scenario: the theorem's write racing a fast ROT.
@@ -144,4 +154,5 @@ def explore_write_read_race(
         workers=workers,
         incremental=incremental,
         checker_oracle=checker_oracle,
+        strict_keys=strict_keys,
     )

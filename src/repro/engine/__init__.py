@@ -8,6 +8,8 @@ Public surface:
 * :class:`repro.engine.core.ExplorationResult` — the result record,
   extending the repo-wide :class:`repro.engine.outcome.SearchOutcome`
   budget vocabulary;
+* :func:`repro.engine.core.use_canonical_keys` — the seen-set key rule
+  every run follows (canonical or strict prints);
 * the typed event model itself lives in :mod:`repro.sim.events` (the sim
   layer owns what an event *is*; the engine owns how the space of event
   sequences is searched).
@@ -21,6 +23,7 @@ from repro.engine.core import (
     SerialSearch,
     resolve_checker,
     run,
+    use_canonical_keys,
 )
 from repro.engine.outcome import SearchOutcome
 
@@ -33,4 +36,5 @@ __all__ = [
     "SerialSearch",
     "resolve_checker",
     "run",
+    "use_canonical_keys",
 ]

@@ -26,6 +26,11 @@ one frontier/strategy core over a common :class:`SearchNode`:
   still reached; combined with the seen-set, a revisited configuration
   is only skipped when a previous visit had a subset sleep set (i.e.
   explored at least as much).  See ``docs/model.md``.
+* **Seen-set keys** — :func:`use_canonical_keys` is the one rule for
+  every strategy, serial or pooled: the canonical print keys the
+  seen-set under POR and on exhaustive runs of POR-safe protocols (the
+  canonical quotient without sleep sets); first-violation runs and
+  ``por_safe=False`` protocols key strictly.
 * **Parallel frontier** (``workers=N``) — :mod:`repro.engine.parallel`
   seeds DFS-preorder subtree roots with :meth:`SerialSearch.collect_frontier`
   (the DFS itself, stopped at a cutoff depth) and hands them to a
@@ -131,6 +136,9 @@ class ExplorationResult(SearchOutcome):
     #: the incremental path; history extraction + scan for the batch path)
     checker_seconds: float = 0.0
     incremental: bool = False
+    #: the seen-set keyed on the trace-canonical fingerprint (always so
+    #: under POR; see :func:`use_canonical_keys`)
+    canonical_keys: bool = False
 
     @property
     def violation_found(self) -> bool:
@@ -142,7 +150,9 @@ class ExplorationResult(SearchOutcome):
         return not self.exhausted and self.truncated == 0
 
     def describe(self) -> str:
-        knobs = self.strategy + ("+por" if self.por else "")
+        knobs = self.strategy + (
+            "+por" if self.por else "+canon" if self.canonical_keys else ""
+        )
         if self.workers > 1:
             knobs += f"+workers={self.workers}"
             if self.auto_serial:
@@ -269,14 +279,13 @@ class SerialSearch:
         self.rng_seed = rng_seed
         #: labels prepended to violation schedules (parallel subtree roots)
         self.trail_prefix = trail_prefix
-        #: key the seen-set canonically even without POR (parallel mode,
-        #: POR-safe protocols only).  The strict fingerprint deliberately
-        #: excludes the event/message counters, so two strict-equal
-        #: states can still differ in *future fingerprint identity* —
-        #: under a cross-worker claim set that would make the explored
-        #: region depend on which worker claimed first.  The canonical
-        #: print is counter-blind *and* a bisimulation for POR-safe
-        #: protocols, so the claimed quotient is schedule-independent.
+        #: key the seen-set canonically even without POR — the choice
+        #: :func:`use_canonical_keys` makes for exhaustive runs of
+        #: POR-safe protocols, serial or pooled.  The canonical print is
+        #: counter-blind *and* a bisimulation for POR-safe protocols, so
+        #: one expansion per canonical class reaches every quiescent
+        #: class (same verdict, same anomaly union) and a cross-worker
+        #: claim set over it is schedule-independent.
         self.canonical_keys = canonical_keys
         #: worker context for the work-stealing pool (None when serial):
         #: duck-typed provider of the global state budget, the shared
@@ -373,12 +382,11 @@ class SerialSearch:
     def _fingerprint(self) -> bytes:
         """The seen-set key for the current configuration.
 
-        POR keys on the trace-canonical fingerprint so commuting
-        interleavings merge; without POR the strict (msg_id-covering)
-        fingerprint keeps parity with the pre-engine explorer —
-        except under ``canonical_keys`` (parallel workers on POR-safe
-        protocols), where canonical keying keeps the cross-worker
-        claimed quotient deterministic.
+        The trace-canonical fingerprint under POR or ``canonical_keys``
+        (commuting interleavings merge), otherwise the strict
+        (msg_id-covering) one, which keeps the pre-engine explorer's
+        schedule population — see :func:`use_canonical_keys` for which
+        runs get which.
         """
         return self.sim.fingerprint(canonical=self.por or self.canonical_keys)
 
@@ -770,6 +778,45 @@ class SerialSearch:
             )
 
 
+def use_canonical_keys(
+    info,
+    *,
+    strategy: str,
+    por: bool,
+    first_violation_only: bool,
+    strict_keys: bool = False,
+) -> bool:
+    """Whether a run keys its seen-set on the trace-canonical print.
+
+    The one key rule, for serial searches of every strategy and for the
+    pool (whose shared claim set exists only on canonical keys): key
+    canonically under ``por``, or when the protocol is ``por_safe`` and
+    the run is exhaustive.  Canonical prints merge the interleavings no
+    process can tell apart — the indistinguishability the paper's
+    Constructions 1–2 splice on — so an exhaustive run reaches the same
+    quiescent classes, verdict and anomaly union from a fraction of the
+    states.  First-violation runs stay strict, keeping the historical
+    first witness (a class is represented by whichever interleaving
+    reaches it first, so the canonical DFS can report a different one);
+    ``por_safe=False`` protocols stay strict because their canonical
+    print is not a bisimulation (they branch on the global step count).
+    Random walks keep no seen-set, so they key nothing.
+
+    ``strict_keys`` pins strict keys (the reference arm differential
+    tests and recorded strict populations are phrased against); it
+    contradicts ``por``, which is canonical by construction.
+    """
+    if strict_keys:
+        if por:
+            raise ValueError("strict_keys=True contradicts por=True")
+        return False
+    if strategy == "random":
+        return False
+    return por or (
+        getattr(info, "por_safe", False) and not first_violation_only
+    )
+
+
 def run(
     system,
     *,
@@ -783,6 +830,7 @@ def run(
     rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
+    strict_keys: bool = False,
 ) -> ExplorationResult:
     """Explore every schedule of ``system``'s current configuration.
 
@@ -800,6 +848,11 @@ def run(
     BFS/random, whose configuration jumps the checker rollback cannot
     follow).  ``checker_oracle=True`` additionally runs the batch scan
     at every leaf and raises if the verdicts are not bit-identical.
+
+    The seen-set keys follow :func:`use_canonical_keys`: canonical under
+    POR and on exhaustive runs of POR-safe protocols, strict otherwise.
+    ``strict_keys=True`` pins strict keys (and, with ``workers > 1``,
+    turns off the shared claim set); it raises with ``por=True``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -809,6 +862,13 @@ def run(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     por = por and strategy != "random"
+    canon = use_canonical_keys(
+        system.info,
+        strategy=strategy,
+        por=por,
+        first_violation_only=first_violation_only,
+        strict_keys=strict_keys,
+    )
     use_inc = (
         (incremental if incremental is not None else True)
         and strategy == "dfs"
@@ -819,6 +879,7 @@ def run(
         strategy=strategy,
         por=por,
         workers=workers,
+        canonical_keys=canon,
     )
     sim = system.sim
     pids = tuple(system.clients) + tuple(system.service_pids)
@@ -838,6 +899,7 @@ def run(
             result=result,
             incremental=use_inc,
             oracle=checker_oracle,
+            strict_keys=strict_keys,
         )
     search = SerialSearch(
         sim,
@@ -852,6 +914,7 @@ def run(
         rng_seed=rng_seed,
         incremental=use_inc,
         oracle=checker_oracle,
+        canonical_keys=canon,
     )
     search.run(strategy)
     result.exhausted = search.exhausted

@@ -88,7 +88,12 @@ import queue as queue_mod
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.core import ExplorationResult, SerialSearch, resolve_checker
+from repro.engine.core import (
+    ExplorationResult,
+    SerialSearch,
+    resolve_checker,
+    use_canonical_keys,
+)
 from repro.engine.seenset import make_seen_set
 from repro.sim.executor import SimCounters, Simulation
 
@@ -464,6 +469,7 @@ def run_parallel(
     result: ExplorationResult,
     incremental: bool = False,
     oracle: bool = False,
+    strict_keys: bool = False,
 ) -> ExplorationResult:
     """Explore ``system`` with a work-stealing pool of ``workers``."""
     sim = system.sim
@@ -472,18 +478,18 @@ def run_parallel(
     spec = resolve_checker(checker)
     root_snap = sim.snapshot()
     target = max(workers * ROOTS_PER_WORKER, workers + 1)
-    # Cross-worker dedup keys on the *canonical* fingerprint: the strict
-    # print deliberately excludes the event/message counters, so two
-    # strict-equal states can diverge in future fingerprint identity —
-    # a strict-keyed claim set would make the explored region (and every
-    # count) depend on which worker claimed first.  Canonical prints are
-    # counter-blind and a bisimulation for POR-safe protocols, so the
-    # claimed quotient — and all merged counts — are schedule-
-    # independent.  por_safe=False protocols (they branch on the global
-    # step counter, outside the bisimulation) get no shared set at all:
-    # workers fall back to strict worker-local dedup, which can
-    # re-expand a fingerprint once per subtree but can never change a
-    # verdict.  See docs/extending.md.
+    # The key rule is the serial one (use_canonical_keys).  Cross-worker
+    # dedup exists only on canonical keys: the strict print deliberately
+    # excludes the event/message counters, so two strict-equal states
+    # can diverge in future fingerprint identity — a strict-keyed claim
+    # set would make the explored region (and every count) depend on
+    # which worker claimed first.  Canonical prints are counter-blind
+    # and a bisimulation for POR-safe protocols, so the claimed quotient
+    # — and all merged counts — are schedule-independent.  Strict runs
+    # (por_safe=False protocols, first-violation runs, strict_keys) get
+    # no shared set: workers dedup worker-locally, which can re-expand a
+    # fingerprint once per subtree but can never change a verdict.  See
+    # docs/extending.md.
     #
     # The claim set serves *exhaustive* runs only, and when it is on the
     # pool explores the canonical **closure** — sleep sets off, every
@@ -494,17 +500,23 @@ def run_parallel(
     # stealing partition.  The closure is sound (every reachable
     # canonical class is expanded exactly once, so every quiescent class
     # is still checked — sleep sets only ever prune redundant
-    # interleavings) and bit-deterministic.  First-violation runs
-    # instead promise the serial DFS's exact winning trail, which the
-    # claim set cannot keep (which strict path first reaches a class is
-    # a wall-clock race), so they keep sleep sets and worker-local dedup
-    # and rely on the ordinal merge + best-key pruning; they abort early
-    # anyway.
-    canon = por or getattr(system.info, "por_safe", False)
+    # interleavings) and bit-deterministic; it is what a serial
+    # exhaustive run without POR explores.  First-violation runs instead
+    # promise the serial DFS's exact winning trail, which the claim set
+    # cannot keep (which path first reaches a class is a wall-clock
+    # race), so they keep sleep sets and worker-local dedup and rely on
+    # the ordinal merge + best-key pruning; they abort early anyway.
+    canon = use_canonical_keys(
+        system.info,
+        strategy=strategy,
+        por=por,
+        first_violation_only=first_violation_only,
+        strict_keys=strict_keys,
+    )
     use_shared = canon and not first_violation_only
     work_por = por and not use_shared
 
-    def fresh_search(search_por: bool, canonical_keys: bool) -> SerialSearch:
+    def fresh_search(search_por: bool) -> SerialSearch:
         """A search positioned at the root, with its own result."""
         sim.restore(root_snap)
         return SerialSearch(
@@ -522,7 +534,7 @@ def run_parallel(
             rng_seed=rng_seed,
             incremental=incremental,
             oracle=oracle,
-            canonical_keys=canonical_keys,
+            canonical_keys=canon,
         )
 
     # grow the cutoff until the frontier is wide enough to balance the
@@ -530,7 +542,7 @@ def run_parallel(
     roots = []
     search: Optional[SerialSearch] = None
     for cutoff in range(1, min(max_depth, MAX_CUTOFF) + 1):
-        search = fresh_search(work_por, use_shared)
+        search = fresh_search(work_por)
         roots = search.collect_frontier(cutoff)
         if (
             search.abort
@@ -552,7 +564,7 @@ def run_parallel(
     if len(roots) < workers + 1:
         # not enough subtrees to keep the pool busy: one serial run is
         # cheaper than spinning up workers that would mostly idle
-        fallback = fresh_search(por, False)
+        fallback = fresh_search(por)
         fallback.run(strategy)
         _finalize(result, fallback.result, fallback, sim)
         result.auto_serial = True
@@ -609,7 +621,7 @@ def run_parallel(
             "incremental": incremental,
             "oracle": oracle,
             "workers": workers,
-            "canonical_keys": use_shared,
+            "canonical_keys": canon,
             # explicit, not inherited: under a spawn start method the
             # class-level mode would reset to the default, and a worker
             # fingerprinting in a different mode than the parent's

@@ -4,14 +4,17 @@ Key-value workloads are heavily skewed in practice (the paper cites the
 Facebook workload studies); a Zipf(θ) sampler over a fixed key universe
 reproduces that shape.  The implementation precomputes the CDF with
 numpy and samples by binary search — O(log n) per draw, deterministic
-under a seeded generator.
+under a seeded generator.  numpy is imported by the methods, not the
+module: ``repro.core`` reaches this module, and the exploration engine
+behind it never samples keys, so importing it must not pay for numpy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ZipfGenerator:
@@ -25,6 +28,8 @@ class ZipfGenerator:
             raise ValueError("n must be positive")
         if theta < 0:
             raise ValueError("theta must be >= 0")
+        import numpy as np
+
         self.n = n
         self.theta = theta
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
@@ -33,6 +38,8 @@ class ZipfGenerator:
         self.rng = np.random.default_rng(seed)
 
     def sample(self) -> int:
+        import numpy as np
+
         u = self.rng.random()
         return int(np.searchsorted(self._cdf, u, side="left"))
 
@@ -52,6 +59,8 @@ class ZipfGenerator:
 
     def pmf(self) -> np.ndarray:
         """The probability mass function (for tests)."""
+        import numpy as np
+
         pmf = np.empty(self.n)
         pmf[0] = self._cdf[0]
         pmf[1:] = np.diff(self._cdf)

@@ -6,10 +6,11 @@ strictly cheaper — replacement for brute-force schedule enumeration:
 * **Strategy equivalence** (per protocol): DFS, BFS and the parallel
   frontier explore the same reduced schedule space, so verdicts and the
   union of violating-history anomalies are identical.
-* **POR equivalence + reduction** (full scope, slow): on the two seed
-  scenarios the sleep-set/canonical-quotient search returns the same
-  verdict and the same anomaly set as the unreduced DFS while expanding
-  at least 2x fewer states — the acceptance gate for the reduction.
+* **Reduction equivalence** (full scope, slow): on the two seed
+  scenarios the default exhaustive search (canonical keys) and the
+  sleep-set/canonical-quotient search return the same verdict and the
+  same anomaly set as the strict-keyed DFS while expanding at least 10x
+  and 2x fewer states — the acceptance gates for the reductions.
 * **Independence soundness** (empirical diamond property): for sampled
   reachable configurations, every pair of enabled events the relation
   declares independent commutes — both orders land in the same
@@ -53,7 +54,8 @@ def test_matrix_covers_every_por_safe_protocol():
 
 @pytest.mark.parametrize("protocol", sorted(MATRIX))
 def test_strategies_and_workers_agree(protocol):
-    """DFS / BFS / workers=2 (all POR): same verdict, same anomaly set."""
+    """DFS / BFS / workers=2 (all POR) and the default exhaustive DFS
+    (canonical keys, no POR): same verdict, same anomaly set."""
     depth, expect_violation = MATRIX[protocol]
     arms = {
         key: explore_write_read_race(
@@ -61,26 +63,29 @@ def test_strategies_and_workers_agree(protocol):
             max_depth=depth,
             max_states=60_000,
             first_violation_only=False,
-            por=True,
             **kw,
         )
         for key, kw in [
-            ("dfs", {}),
-            ("bfs", dict(strategy="bfs")),
-            ("workers2", dict(workers=2)),
+            ("dfs", dict(por=True)),
+            ("bfs", dict(strategy="bfs", por=True)),
+            ("workers2", dict(workers=2, por=True)),
+            ("canon", {}),
         ]
     }
     for key, r in arms.items():
         assert r.violation_found == expect_violation, (protocol, key)
         assert not r.exhausted, (protocol, key)
+        assert r.canonical_keys, (protocol, key)
+    assert not arms["canon"].por
     assert (
         anomaly_union(arms["dfs"])
         == anomaly_union(arms["bfs"])
         == anomaly_union(arms["workers2"])
+        == anomaly_union(arms["canon"])
     )
 
 
-#: the two seed scenarios of the POR acceptance gate, at full scope
+#: the two seed scenarios of the reduction gates, at full scope
 #: (depth past quiescence, zero truncation — the verdict is exhaustive)
 FULL_SCOPE = {"fastclaim": 18, "cops": 22}
 
@@ -88,23 +93,74 @@ FULL_SCOPE = {"fastclaim": 18, "cops": 22}
 @pytest.mark.slow
 @pytest.mark.parametrize("protocol", sorted(FULL_SCOPE))
 def test_por_identical_verdict_2x_fewer_states(protocol):
+    """Strict keys, the default (canonical keys) and POR agree exactly.
+
+    The strict arm is the unreduced reference population (46,222 and
+    31,187 states); the default exhaustive run keys on the canonical
+    print (1,300 and 489) and POR adds sleep sets on top of it.
+    """
     depth = FULL_SCOPE[protocol]
     kw = dict(
         max_depth=depth, max_states=80_000, first_violation_only=False
     )
-    plain = explore_write_read_race(protocol, **kw)
+    plain = explore_write_read_race(protocol, strict_keys=True, **kw)
+    default = explore_write_read_race(protocol, **kw)
     reduced = explore_write_read_race(protocol, por=True, **kw)
-    # both explorations cover the entire scope...
-    for r in (plain, reduced):
+    assert not plain.canonical_keys and default.canonical_keys
+    # all three explorations cover the entire scope...
+    for r in (plain, default, reduced):
         assert r.truncated == 0 and not r.exhausted
     # ...agree on the verdict and on *which* anomalies exist...
-    assert plain.violation_found == reduced.violation_found
-    assert anomaly_union(plain) == anomaly_union(reduced)
-    # ...and the reduction pays: >= 2x fewer expanded configurations
+    assert (
+        plain.violation_found
+        == default.violation_found
+        == reduced.violation_found
+    )
+    assert anomaly_union(plain) == anomaly_union(default) == anomaly_union(reduced)
+    # ...and the reductions pay: >= 2x fewer expanded configurations
+    # under POR, >= 10x fewer under the default canonical keys
     assert plain.states_visited >= 2 * reduced.states_visited, (
         plain.states_visited,
         reduced.states_visited,
     )
+    assert plain.states_visited >= 10 * default.states_visited, (
+        plain.states_visited,
+        default.states_visited,
+    )
+
+
+def test_key_rule():
+    """``use_canonical_keys``: canonical under POR and on exhaustive
+    runs of POR-safe protocols, strict everywhere else — and runs
+    report the keys they used."""
+    from repro.engine import use_canonical_keys
+
+    def rule(protocol, strategy="dfs", **kw):
+        return use_canonical_keys(REGISTRY[protocol], strategy=strategy, **kw)
+
+    assert rule("fastclaim", por=True, first_violation_only=True)
+    assert rule("fastclaim", por=False, first_violation_only=False)
+    assert rule("fastclaim", "bfs", por=False, first_violation_only=False)
+    assert not rule("fastclaim", por=False, first_violation_only=True)
+    assert not rule("fastclaim", "random", por=False, first_violation_only=False)
+    assert not rule("spanner", por=False, first_violation_only=False)
+    assert not rule(
+        "fastclaim", por=False, first_violation_only=False, strict_keys=True
+    )
+    with pytest.raises(ValueError, match="strict_keys"):
+        rule("fastclaim", por=True, first_violation_only=False, strict_keys=True)
+    with pytest.raises(ValueError, match="strict_keys"):
+        explore_write_read_race("fastclaim", max_depth=4, por=True, strict_keys=True)
+    # what a run reports: ``canonical_keys`` and the ``+canon`` knob
+    kw = dict(max_depth=10, max_states=5_000)
+    exhaustive = explore_write_read_race(
+        "fastclaim", first_violation_only=False, **kw
+    )
+    first = explore_write_read_race("fastclaim", **kw)
+    reduced = explore_write_read_race("fastclaim", por=True, **kw)
+    assert "[dfs+canon]" in exhaustive.describe()
+    assert "[dfs]" in first.describe() and not first.canonical_keys
+    assert "[dfs+por]" in reduced.describe() and reduced.canonical_keys
 
 
 def test_workers_bit_identical_first_violation():
@@ -301,10 +357,12 @@ def test_workers_strict_keys_for_non_por_safe(monkeypatch, protocol):
     """``por_safe=False`` protocols are keyed strictly, end to end.
 
     Their canonical prints are not a bisimulation (they branch on the
-    global step counter), so neither the seeding walk nor any worker
-    may compute one.  The spy raises in whichever process calls it —
-    workers are forked with it in place — and the verdict must equal
-    serial's.  The budget is large enough that the pool really runs.
+    global step counter), so neither the seeding walk nor any worker —
+    nor an exhaustive serial run, which keys POR-safe protocols
+    canonically — may compute one.  The spy raises in whichever process
+    calls it — workers are forked with it in place — and the verdict
+    must equal serial's.  The budget is large enough that the pool
+    really runs.
     """
     from repro.sim.executor import Simulation
 
@@ -325,6 +383,11 @@ def test_workers_strict_keys_for_non_por_safe(monkeypatch, protocol):
     assert calls  # the parent's seeding walk went through the spy
     assert fanned.violation_found == serial.violation_found
     assert fanned.violations[:1] == serial.violations[:1]
+    calls.clear()
+    exhaustive = explore_write_read_race(
+        protocol, max_depth=14, max_states=5_000, first_violation_only=False
+    )
+    assert calls and not exhaustive.canonical_keys
 
 
 def test_workers_shared_quotient_deterministic():

@@ -36,6 +36,33 @@ from repro.workloads import (
 
 
 class TestZipf:
+    def test_explore_import_leaves_numpy_out(self):
+        """``repro.core`` reaches this module; the explorer must not pay
+        for numpy at import (it was about a quarter of the import)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.core.explore; "
+                "print('numpy' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfGenerator(0)
